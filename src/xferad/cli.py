@@ -174,17 +174,36 @@ def _task_doc(task, input_files):
     }
 
 
+TASK_SPLITS = ("train_normal", "train_anomalous", "test_normal", "test_anomalous")
+
+
 def _resolve_task(path, ds, input_files):
     with open(path) as f:
-        doc = json.load(f)
-    for p, digest in doc.get("inputs", {}).items():
+        try:
+            doc = json.load(f)
+        except ValueError as e:
+            raise FormatError(f"task file {path}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"task file {path}: expected a JSON object")
+    for key in ("anomaly_class", "seed"):
+        if type(doc.get(key)) is not int:
+            raise FormatError(f"task file {path}: {key} must be an integer, got {doc.get(key)!r}")
+    raw = doc.get("indices")
+    if not isinstance(raw, dict) or sorted(raw) != sorted(TASK_SPLITS):
+        raise FormatError(f"task file {path}: indices must map exactly {', '.join(TASK_SPLITS)}")
+    inputs = doc.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise FormatError(f"task file {path}: inputs must map paths to digests")
+    for p, digest in inputs.items():
         if os.path.exists(p) and _sha256(p) != digest:
             raise FormatError(f"task file {path}: dataset {p} digest changed since task creation")
-    indices = {k: np.asarray(v, dtype=np.int64) for k, v in doc["indices"].items()}
     n = len(ds)
-    for k, v in indices.items():
-        if v.size and (v.min() < 0 or v.max() >= n):
+    for k, v in raw.items():
+        if not isinstance(v, list) or not all(type(i) is int for i in v):
+            raise FormatError(f"task file {path}: {k} must be a list of integers")
+        if any(i < 0 or i >= n for i in v):
             raise FormatError(f"task file {path}: {k} index out of range for dataset of {n}")
+    indices = {k: np.asarray(v, dtype=np.int64) for k, v in raw.items()}
     return data.task_from_indices(ds, indices, doc["anomaly_class"], doc["seed"])
 
 
@@ -342,7 +361,7 @@ def cmd_benchmark(args):
 
     rows = []
     outputs = []
-    for cls in range(10):
+    for cls in range(len(ds.class_names)):
         task = data.build_anomaly_task(
             ds, cls, args.train_per_class, args.test_per_class, args.seed
         )
@@ -398,7 +417,7 @@ def cmd_benchmark(args):
          "seed": args.seed},
         input_files + [args.source_weights], outputs,
     )
-    print(f"mean AUC over 10 one-vs-rest classes: {mean:.6f} -> {csv_path}")
+    print(f"mean AUC over {len(rows)} one-vs-rest classes: {mean:.6f} -> {csv_path}")
     return 0
 
 
@@ -472,7 +491,7 @@ def _build_parser():
     s.add_argument("--out-dir", required=True)
     s.set_defaults(fn=cmd_evaluate)
 
-    s = sub.add_parser("benchmark", help="all 10 one-vs-rest tasks, one AUC per class")
+    s = sub.add_parser("benchmark", help="every one-vs-rest task of the dataset, one AUC per class")
     _add_dataset_args(s)
     s.add_argument("--source-weights", required=True)
     s.add_argument("--strategy", choices=["fixed", "finetune"], default="finetune")

@@ -183,6 +183,8 @@ def _read_pnm(path):
         raise FormatError(f"{path}: non-numeric header fields {tokens[1:4]}") from None
     if maxval != 255:
         raise FormatError(f"{path}: maxval {maxval} unsupported, expected 255")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: image size {width}x{height} must be positive")
     need = width * height * channels
     raster = blob[pos:pos + need]
     if len(raster) < need:

@@ -95,11 +95,15 @@ def anomaly_scores(model, samples, batch_size=64):
 
     Pure inference (no tape); the model must have exactly 2 outputs.
     AUC under this orientation equals AUC under the complementary
-    normal-neuron scoring.
+    normal-neuron scoring. float64 samples stay float64 (as in a
+    Tensor), so a double-precision model's cached activations score
+    unrounded; any other dtype is cast to float32.
     """
     if model.num_classes != 2:
         raise ContractError(f"anomaly scoring needs a 2-class model, got {model.num_classes}")
-    samples = np.asarray(samples, dtype=np.float32)
+    samples = np.asarray(samples)
+    if samples.dtype != np.float64:
+        samples = samples.astype(np.float32, copy=False)
     out = np.empty(len(samples), dtype=np.float64)
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]

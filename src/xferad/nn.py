@@ -206,6 +206,20 @@ class ModelGraph:
             x = layer.forward(x, tape)
         return x
 
+    def suffix(self, start):
+        """Graph of layers[start:], sharing this graph's layer objects.
+
+        Its input shape is the activation shape entering layer `start`,
+        so it runs on the output of forward(..., upto=start). start 0
+        returns this graph itself.
+        """
+        if start == 0:
+            return self
+        shape = self.input_shape
+        for layer in self.layers[:start]:
+            shape = layer.out_shape(shape)
+        return ModelGraph(self.layers[start:], shape, self.num_classes)
+
     def parameterized_layers(self):
         return [l for l in self.layers if l.params()]
 
@@ -407,7 +421,10 @@ def _unpack_record(blob, off):
     off += 2
     if off + nlen + 1 > end:
         raise FormatError(f"weight file truncated at byte {off}: expected record name")
-    name = blob[off:off + nlen].decode("utf-8")
+    try:
+        name = blob[off:off + nlen].decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"record name at byte {off} is not valid UTF-8") from None
     off += nlen
     rank = blob[off]
     off += 1

@@ -106,23 +106,30 @@ class TrainRecord:
                 ])
 
 
-def _train_epochs(model, images, labels, config, epochs, evaluate_epoch=None):
-    """Shared loop: per epoch, shuffled minibatch SGD; optional epoch hook."""
+def _train_epochs(model, inputs, labels, config, evaluate_epoch=None, net=None):
+    """Shared loop: per epoch, shuffled minibatch SGD; optional epoch hook.
+
+    net is the graph run on inputs: model itself by default, or
+    model.suffix(k) with inputs the cached activations entering layer k.
+    The optimizer steps model, so velocities and errors stay keyed by
+    its parameter names.
+    """
+    net = model if net is None else net
     state = config.make_sgd()
     record = []
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         total, seen = 0.0, 0
         lr_at_start = state.effective_lr()
-        for xb, yb in batch_iter(images, labels, config.batch_size, True, config.seed, epoch):
+        for xb, yb in batch_iter(inputs, labels, config.batch_size, True, config.seed, epoch):
             tape = T.Tape()
-            logits = model.forward(T.Tensor(xb), tape)
+            logits = net.forward(T.Tensor(xb), tape)
             loss = T.softmax_cross_entropy(logits, yb, tape)
             T.backward(loss, tape)
             nn.sgd_step(model, state)
             nn.zero_grads(model)
             total += float(loss.data) * len(yb)
             seen += len(yb)
-        val = evaluate_epoch(model) if evaluate_epoch is not None else None
+        val = evaluate_epoch() if evaluate_epoch is not None else None
         record.append(EpochStats(epoch, total / max(seen, 1), val, lr_at_start))
     return record
 
@@ -143,7 +150,7 @@ def pretrain_source(model, source_set, config):
     images = np.asarray(source_set.images, dtype=np.float32)
 
     trained = model.copy()
-    stats = _train_epochs(trained, images, labels, config, config.epochs)
+    stats = _train_epochs(trained, images, labels, config)
     return trained, TrainRecord(stats, selected_epoch=max(len(stats) - 1, 0))
 
 
@@ -196,12 +203,44 @@ def _stratified_val_split(n_normal, n_anomalous, val_fraction, seed):
     return picks
 
 
+def _frozen_prefix_length(model):
+    """Index k of the first layer with trainable parameters.
+
+    layers[:k] cannot change during training. When every layer is frozen
+    k is the head's index, so the head still runs in the training loop.
+    """
+    for i, layer in enumerate(model.layers):
+        if layer.params() and layer.trainable:
+            return i
+    return len(model.layers) - 1
+
+
+def _prefix_activations(model, k, x, batch_size=64):
+    """Output of model.layers[:k] on x, tape-free, in chunks of batch_size.
+
+    Every layer of the family maps each sample on its own (conv is one
+    matmul per sample of the stacked batch), so the activations are
+    bit-identical to those of any other batching. k == 0 returns x.
+    """
+    if k == 0:
+        return x
+    out = None
+    for start in range(0, len(x), batch_size):
+        a = model.forward(T.Tensor(x[start:start + batch_size]), upto=k).data
+        if out is None:
+            out = np.empty((len(x),) + a.shape[1:], dtype=a.dtype)
+        out[start:start + len(a)] = a
+    return out
+
+
 def train_target(model, task, config):
     """Train the 2-class target model on an anomaly task.
 
     Holds out a seeded stratified val_fraction of the training data for
     per-epoch validation AUC, trains the rest with shuffled minibatches,
     and returns the model of the selected epoch plus the TrainRecord.
+    The frozen prefix runs once per sample: training and validation run
+    only the trainable suffix, on cached prefix activations.
     """
     if model.num_classes != 2:
         raise ContractError(f"target model must have 2 outputs, got {model.num_classes}")
@@ -239,15 +278,20 @@ def train_target(model, task, config):
 
     trained = model.copy()
     best = {"auc": -1.0, "model": trained.copy()}
+    k = _frozen_prefix_length(trained)
+    net = trained.suffix(k)
+    a_train = _prefix_activations(trained, k, x_train)
+    a_val = _prefix_activations(trained, k, x_val)
+    del x_train, x_val  # training needs only the cache; free the input copies
 
-    def evaluate_epoch(m):
-        auc = auc_trapezoid(ScoredSet(anomaly_scores(m, x_val), y_val))
+    def evaluate_epoch():
+        auc = auc_trapezoid(ScoredSet(anomaly_scores(net, a_val), y_val))
         if auc > best["auc"]:
             best["auc"] = auc
-            best["model"] = m.copy()
+            best["model"] = trained.copy()
         return auc
 
-    stats = _train_epochs(trained, x_train, y_train, config, config.epochs, evaluate_epoch)
+    stats = _train_epochs(trained, a_train, y_train, config, evaluate_epoch, net)
 
     if config.epochs == 0:
         return trained, TrainRecord([], selected_epoch=0)

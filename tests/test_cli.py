@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from xferad import nn
+from xferad import data, nn
 from xferad.cli import main
 from xferad.errors import EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_FORMAT
 
@@ -225,3 +225,36 @@ def test_benchmark_csv_structure(corpus, source_weights, tmp_path):
     for cls in range(10):
         assert json.load(open(f"{out_dir}/report_{cls}.json"))["auc"] == aucs[cls]
         nn.load_weights(f"{out_dir}/weights_{cls}.xfaw")
+
+
+def test_benchmark_loops_over_the_dataset_classes(corpus, source_weights, tmp_path):
+    ds = data.load_idx(corpus["images"], corpus["labels"])
+    keep = ds.labels < 2
+    imgs, lbls = str(tmp_path / "two-images"), str(tmp_path / "two-labels")
+    data.write_idx(ds.images[keep], ds.labels[keep], imgs, lbls)
+    out_dir = str(tmp_path / "bench")
+    assert main(["benchmark", "--data-format", "idx", "--images", imgs, "--labels", lbls,
+                 "--size", "16", "16", "--source-weights", source_weights,
+                 "--train-per-class", "12", "--test-per-class", "6",
+                 "--epochs", "1", "--seed", "9", "--out-dir", out_dir]) == 0
+    with open(f"{out_dir}/benchmark.csv") as f:
+        rows = list(csv.reader(f))
+    assert [r[0] for r in rows] == ["class", "0", "1", "mean"]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: "{not json",
+    lambda doc: {k: v for k, v in doc.items() if k != "indices"},
+    lambda doc: {k: v for k, v in doc.items() if k != "anomaly_class"},
+    lambda doc: {**doc, "seed": "2"},
+    lambda doc: {**doc, "anomaly_class": 9.0},
+], ids=["not_json", "no_indices", "no_anomaly_class", "string_seed", "float_anomaly_class"])
+@pytest.mark.parametrize("command", ["evaluate", "validate-task"])
+def test_malformed_task_file_exits_format(corpus, source_weights, task_file, tmp_path,
+                                          tamper, command):
+    doc = tamper(json.load(open(task_file)))
+    bad = tmp_path / "bad_task.json"
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    extra = (["--weights", source_weights, "--out-dir", str(tmp_path / "out")]
+             if command == "evaluate" else [])
+    assert main([command, *dataset_flags(corpus), "--task", str(bad), *extra]) == EXIT_FORMAT

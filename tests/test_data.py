@@ -130,6 +130,14 @@ def test_pnm_maxval_must_be_255(tmp_path):
         data._read_pnm(p)
 
 
+@pytest.mark.parametrize("header", [b"P5 -2 2 255\n", b"P5 2 0 255\n"])
+def test_pnm_size_must_be_positive(tmp_path, header):
+    p = tmp_path / "empty.pgm"
+    p.write_bytes(header + bytes(4))
+    with pytest.raises(FormatError, match="must be positive"):
+        data._read_pnm(p)
+
+
 def make_image_dir(tmp_path):
     neg = tmp_path / "negative"
     pos = tmp_path / "positive"

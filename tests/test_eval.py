@@ -48,6 +48,16 @@ def test_scores_complement_normal_neuron_probability():
     assert np.allclose(s, 1.0 - probs[:, 0], atol=1e-7)
 
 
+def test_float64_samples_are_scored_unrounded():
+    dense = nn.Dense(1, 2, dtype=np.float64)
+    dense.weight.data = np.array([[1.0, -1.0]])
+    m = nn.ModelGraph([dense], (1,), 2)
+    x = np.array([[0.1]])  # not a float32 value
+    s = ev.anomaly_scores(m, x)
+    e = np.exp(-0.2)
+    assert np.array_equal(s, [e / (1.0 + e)])
+
+
 def test_scores_require_two_class_model():
     m = nn.build_small_convnet((3, 16, 16), 5, seed=0)
     with pytest.raises(ContractError, match="2-class"):

@@ -65,6 +65,17 @@ def test_batch_independence_row0():
     assert np.allclose(row_alone, row_in_batch, atol=1e-5)
 
 
+def test_suffix_shares_layers_and_continues_the_forward_pass():
+    m = small_model()
+    assert m.suffix(0) is m
+    x = T.Tensor(np.random.default_rng(3).random((2, 3, 32, 32), dtype=np.float32))
+    for k in (3, 6, 10):
+        tail = m.suffix(k)
+        assert all(a is b for a, b in zip(tail.layers, m.layers[k:]))
+        assert tail.input_shape == m.forward(x, upto=k).shape[1:]
+        assert np.array_equal(tail.forward(m.forward(x, upto=k)).data, m.forward(x).data)
+
+
 def test_forward_without_record_cannot_backprop():
     m = small_model()
     x = T.Tensor(np.random.default_rng(2).random((2, 3, 32, 32), dtype=np.float32))
@@ -322,4 +333,15 @@ def test_flipped_payload_byte_fails_crc(tmp_path):
     blob[40] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="crc"):
+        nn.load_weights(path)
+
+
+def test_undecodable_record_name_is_format_error(tmp_path):
+    path = tmp_path / "model.xfaw"
+    nn.save_weights(small_model(), path)
+    blob = bytearray(path.read_bytes())
+    blob[14] = 0xFF  # first byte of the first record name, under a valid crc
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="UTF-8"):
         nn.load_weights(path)

@@ -4,6 +4,7 @@ import pytest
 from xferad import data, nn, synth, transfer
 from xferad.errors import CapacityError, ContractError
 from xferad import tensor as T
+from xferad.evaluate import ScoredSet, anomaly_scores, auc_trapezoid
 
 
 def feature_activations(model, x):
@@ -301,3 +302,110 @@ def test_frozen_params_bit_identical_after_many_epochs():
     for name in ("conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias"):
         p = dict(trained.named_parameters())[name]
         assert np.array_equal(p.data, before[name]), name
+
+
+# ---------------------------------------------------------------------------
+# frozen-prefix activation cache
+
+
+def reference_train_target(model, task, config):
+    """train_target without the prefix cache: every training batch and
+    every per-epoch val pass runs the whole graph, frozen layers included.
+    The oracle the cached path must match bit for bit."""
+    x_norm = np.asarray(task.train_normal, dtype=np.float32)
+    x_anom = np.asarray(task.train_anomalous, dtype=np.float32)
+    val_n_idx, val_a_idx = transfer._stratified_val_split(
+        len(x_norm), len(x_anom), config.val_fraction, config.seed
+    )
+    mask_n = np.zeros(len(x_norm), dtype=bool)
+    mask_n[val_n_idx] = True
+    mask_a = np.zeros(len(x_anom), dtype=bool)
+    mask_a[val_a_idx] = True
+    x_train = np.concatenate([x_norm[~mask_n], x_anom[~mask_a]])
+    y_train = np.concatenate([np.zeros(int((~mask_n).sum()), np.int64),
+                              np.ones(int((~mask_a).sum()), np.int64)])
+    x_val = np.concatenate([x_norm[mask_n], x_anom[mask_a]])
+    y_val = np.concatenate([np.zeros(len(val_n_idx), np.int64),
+                            np.ones(len(val_a_idx), np.int64)])
+
+    trained = model.copy()
+    best_auc, best_model = -1.0, trained.copy()
+    state = config.make_sgd()
+    stats = []
+    for epoch in range(config.epochs):
+        total, seen = 0.0, 0
+        lr_at_start = state.effective_lr()
+        for xb, yb in data.batch_iter(x_train, y_train, config.batch_size, True,
+                                      config.seed, epoch):
+            tape = T.Tape()
+            loss = T.softmax_cross_entropy(trained.forward(T.Tensor(xb), tape), yb, tape)
+            T.backward(loss, tape)
+            nn.sgd_step(trained, state)
+            nn.zero_grads(trained)
+            total += float(loss.data) * len(yb)
+            seen += len(yb)
+        auc = auc_trapezoid(ScoredSet(anomaly_scores(trained, x_val), y_val))
+        if auc > best_auc:
+            best_auc, best_model = auc, trained.copy()
+        stats.append(transfer.EpochStats(epoch, total / max(seen, 1), auc, lr_at_start))
+
+    if config.epochs == 0:
+        return trained, transfer.TrainRecord([], selected_epoch=0)
+    if config.model_selection == transfer.SELECT_BEST_VAL_AUC:
+        selected = int(np.argmax([e.val_auc for e in stats]))
+        return best_model, transfer.TrainRecord(stats, selected_epoch=selected)
+    return trained, transfer.TrainRecord(stats, selected_epoch=len(stats) - 1)
+
+
+# split points of the family: after conv block 1, 2, 3, and after GAP
+@pytest.mark.parametrize("k", [3, 6, 9, 10])
+def test_prefix_activations_independent_of_batching(k):
+    model = transfer.replace_head(small_source(seed=17, hw=32), 2, seed=17)
+    x = np.random.default_rng(18).random((70, 3, 32, 32), dtype=np.float32)
+    chunked = transfer._prefix_activations(model, k, x)
+
+    shuffled = np.empty_like(chunked)
+    order = np.random.default_rng(19).permutation(len(x))
+    for start in range(0, len(x), 16):
+        sel = order[start:start + 16]
+        shuffled[sel] = model.forward(T.Tensor(x[sel]), upto=k).data
+    single = np.concatenate([model.forward(T.Tensor(x[i:i + 1]), upto=k).data
+                             for i in range(len(x))])
+
+    assert chunked.shape == (70,) + model.suffix(k).input_shape
+    assert np.array_equal(chunked, shuffled)
+    assert np.array_equal(chunked, single)
+
+
+@pytest.mark.parametrize("selection", [transfer.SELECT_BEST_VAL_AUC, transfer.SELECT_LAST_EPOCH])
+@pytest.mark.parametrize("strategy,depth", [
+    (transfer.STRATEGY_FIXED, 3),
+    (transfer.STRATEGY_FINE_TUNE, 2),
+    (transfer.STRATEGY_FINE_TUNE, 1),
+    (transfer.STRATEGY_FINE_TUNE, 0),
+])
+def test_train_target_bit_identical_to_full_forward_loop(strategy, depth, selection):
+    check_cached_training_matches_reference(small_source(seed=20), strategy, depth, selection)
+
+
+def test_cached_training_of_a_double_precision_model_matches_reference():
+    source = nn.build_small_convnet((3, 16, 16), 8, seed=22, dtype=np.float64)
+    check_cached_training_matches_reference(source, transfer.STRATEGY_FINE_TUNE, 2,
+                                            transfer.SELECT_BEST_VAL_AUC)
+
+
+def check_cached_training_matches_reference(source, strategy, depth, selection):
+    tgt = transfer.replace_head(source, 2, seed=20)
+    policy = transfer.FreezePolicy(depth)
+    m = transfer.apply_freeze(tgt, policy)
+    config = transfer.TransferConfig(strategy=strategy, freeze=policy, lr0=0.05, epochs=4,
+                                     seed=21, model_selection=selection)
+    task = blob_task(seed=6, n_train=40)
+    got_model, got_record = transfer.train_target(m, task, config)
+    want_model, want_record = reference_train_target(m, task, config)
+
+    assert got_record == want_record
+    for (name, got), (_, want) in zip(got_model.named_parameters(),
+                                      want_model.named_parameters()):
+        assert np.array_equal(got.data, want.data), name
+    assert [l.trainable for l in got_model.layers] == [l.trainable for l in m.layers]
