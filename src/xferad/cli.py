@@ -204,7 +204,28 @@ def _resolve_task(path, ds, input_files):
         if any(i < 0 or i >= n for i in v):
             raise FormatError(f"task file {path}: {k} index out of range for dataset of {n}")
     indices = {k: np.asarray(v, dtype=np.int64) for k, v in raw.items()}
+    _check_task_invariants(path, ds.labels, indices, doc["anomaly_class"])
     return data.task_from_indices(ds, indices, doc["anomaly_class"], doc["seed"])
+
+
+def _check_task_invariants(path, labels, idx, anomaly_class):
+    """ConsistencyError unless the train splits are equal-sized, train and
+    test are disjoint, and each split holds only the labels its role allows."""
+    train = np.concatenate([idx["train_normal"], idx["train_anomalous"]])
+    test = np.concatenate([idx["test_normal"], idx["test_anomalous"]])
+    problems = []
+    if len(idx["train_normal"]) != len(idx["train_anomalous"]):
+        problems.append("train splits are not equal-sized")
+    if np.intersect1d(train, test).size:
+        problems.append("train and test share source indices")
+    normal = np.concatenate([idx["train_normal"], idx["test_normal"]])
+    if (labels[normal] == anomaly_class).any():
+        problems.append("normal split contains anomaly-class samples")
+    anom = np.concatenate([idx["train_anomalous"], idx["test_anomalous"]])
+    if (labels[anom] != anomaly_class).any():
+        problems.append("anomalous split contains non-anomaly-class samples")
+    if problems:
+        raise ConsistencyError(f"task {path} invalid: " + "; ".join(problems))
 
 
 def cmd_make_task(args):
@@ -230,23 +251,7 @@ def cmd_make_task(args):
 
 def cmd_validate_task(args):
     ds, _ = _load_dataset(args)
-    task = _resolve_task(args.task, ds, [])
-    idx = task.source_indices
-    train = np.concatenate([idx["train_normal"], idx["train_anomalous"]])
-    test = np.concatenate([idx["test_normal"], idx["test_anomalous"]])
-    problems = []
-    if len(idx["train_normal"]) != len(idx["train_anomalous"]):
-        problems.append("train splits are not equal-sized")
-    if np.intersect1d(train, test).size:
-        problems.append("train and test share source indices")
-    normal = np.concatenate([idx["train_normal"], idx["test_normal"]])
-    if (ds.labels[normal] == task.anomaly_class).any():
-        problems.append("normal split contains anomaly-class samples")
-    anom = np.concatenate([idx["train_anomalous"], idx["test_anomalous"]])
-    if (ds.labels[anom] != task.anomaly_class).any():
-        problems.append("anomalous split contains non-anomaly-class samples")
-    if problems:
-        raise ConsistencyError(f"task {args.task} invalid: " + "; ".join(problems))
+    _resolve_task(args.task, ds, [])
     print(f"task {args.task} passes all invariant checks")
     return 0
 
@@ -300,11 +305,12 @@ def cmd_transfer(args):
     return 0
 
 
-def _score_task_test_split(model, ptask):
-    x = np.concatenate([np.asarray(ptask.test_normal), np.asarray(ptask.test_anomalous)])
+def _score_test_split(model, test_normal, test_anomalous):
+    """Score preprocessed test images; normal ones are labelled 0, anomalous 1."""
+    x = np.concatenate([np.asarray(test_normal), np.asarray(test_anomalous)])
     y = np.concatenate([
-        np.zeros(len(ptask.test_normal), dtype=np.int64),
-        np.ones(len(ptask.test_anomalous), dtype=np.int64),
+        np.zeros(len(test_normal), dtype=np.int64),
+        np.ones(len(test_anomalous), dtype=np.int64),
     ])
     return ScoredSet(anomaly_scores(model, x), y)
 
@@ -313,8 +319,9 @@ def cmd_evaluate(args):
     ds, input_files = _load_dataset(args)
     model = nn.load_weights(args.weights)
     task = _resolve_task(args.task, ds, input_files)
-    ptask = data.preprocess_task(task, model.input_shape[1:])
-    scored = _score_task_test_split(model, ptask)
+    hw = model.input_shape[1:]
+    scored = _score_test_split(model, data.preprocess_split(task.test_normal, hw),
+                               data.preprocess_split(task.test_anomalous, hw))
 
     auc = auc_trapezoid(scored)
     oracle = auc_pairwise_oracle(scored)
@@ -385,7 +392,7 @@ def cmd_benchmark(args):
         nn.save_weights(trained, weights_path)
         record.to_csv(record_path)
 
-        scored = _score_task_test_split(trained, ptask)
+        scored = _score_test_split(trained, ptask.test_normal, ptask.test_anomalous)
         auc = auc_trapezoid(scored)
         oracle = auc_pairwise_oracle(scored)
         if abs(auc - oracle) > AUC_AGREEMENT_TOL:

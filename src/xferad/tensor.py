@@ -234,24 +234,21 @@ def matmul(a, b, tape=None):
 # ---------------------------------------------------------------------------
 # convolution / pooling
 
-_COL_INDEX_CACHE = {}
+
+def _taps(a, kh, kw, stride, Ho, Wo):
+    """Strided views of [N,C,H,W] a, one per window offset in row-major order.
+
+    Tap i*kw + j holds a[:, :, i + stride*oh, j + stride*ow] at [:, :, oh, ow].
+    """
+    return [
+        a[:, :, i:i + stride * (Ho - 1) + 1:stride, j:j + stride * (Wo - 1) + 1:stride]
+        for i in range(kh) for j in range(kw)
+    ]
 
 
-def _col_indices(C, Hp, Wp, kh, kw, stride, Ho, Wo):
-    """Flat scatter indices mapping im2col columns back into the padded input."""
-    key = (C, Hp, Wp, kh, kw, stride)
-    idx = _COL_INDEX_CACHE.get(key)
-    if idx is None:
-        c = np.repeat(np.arange(C), kh * kw)
-        ki = np.tile(np.repeat(np.arange(kh), kw), C)
-        kj = np.tile(np.arange(kw), C * kh)
-        oi = stride * np.repeat(np.arange(Ho), Wo)
-        oj = stride * np.tile(np.arange(Wo), Ho)
-        rows = ki[:, None] + oi[None, :]
-        cols = kj[:, None] + oj[None, :]
-        idx = ((c[:, None] * Hp + rows) * Wp + cols).astype(np.int64)
-        _COL_INDEX_CACHE[key] = idx
-    return idx
+def _bits(a):
+    """View of a's elements as unsigned integers of the same width."""
+    return a.view(f"u{a.itemsize}")
 
 
 def _im2col(xp, kh, kw, stride):
@@ -268,7 +265,13 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
     x: [N,C,H,W], w: [F,C,kh,kw], b: [F]. Output height is
     (H + 2*padding - kh)//stride + 1, likewise width. Implemented as
     im2col + matmul so the backward path is plain matrix algebra plus a
-    scatter-add back through the patch extraction.
+    scatter-add back through the patch extraction (col2im).
+
+    The col2im scatter makes kh*kw strided slice-adds, one per kernel
+    offset in row-major order, into a float64 zero array, then crops the
+    padding and casts once to the gradient's dtype. Each input element
+    thus sums its patch contributions in float64, in kernel-offset order,
+    starting from +0.0.
     """
     stride = int(stride)
     padding = int(padding)
@@ -303,16 +306,11 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
         if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
-            dcols = np.matmul(wr.T, gr)  # [N, C*kh*kw, Ho*Wo]
-            idx = _col_indices(C, Hp, Wp, kh, kw, stride, Ho, Wo)
-            offs = np.arange(N, dtype=np.int64)[:, None, None] * (C * Hp * Wp)
-            dxp = np.bincount(
-                (idx[None] + offs).ravel(),
-                weights=dcols.ravel(),
-                minlength=N * C * Hp * Wp,
-            ).reshape(N, C, Hp, Wp)
-            if padding:
-                dxp = dxp[:, :, padding:-padding, padding:-padding]
+            dcols = np.matmul(wr.T, gr).reshape(N, C, kh * kw, Ho, Wo)
+            dxp = np.zeros((N, C, Hp, Wp))
+            for k, tap in enumerate(_taps(dxp, kh, kw, stride, Ho, Wo)):
+                tap += dcols[:, :, k]
+            dxp = dxp[:, :, padding:Hp - padding, padding:Wp - padding]
             dx = dxp.astype(g.dtype, copy=False)
         return dx, dw, db
 
@@ -321,32 +319,52 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
 
 def maxpool2d(x, window, stride, tape=None):
     """Per-window max over [N,C,H,W]; ties route gradient to the first
-    (row-major) maximal element of the window."""
+    (row-major) maximal element of the window.
+
+    The forward is a comparison cascade over the window's strided taps in
+    row-major order: a tap replaces the running max only where it is
+    strictly greater, so the first maximal element wins, signed zeros
+    included. NaN inputs are outside this contract. The backward
+    recomputes each tap's first-max hit against the output and adds the
+    hit gradients into a zero array, so a -0.0 gradient lands as +0.0.
+    Overlapping windows (stride < window) accumulate in float64 in
+    row-major window order, then cast once to the gradient's dtype.
+
+    Both passes select values through their bit patterns (an all-ones
+    mask ANDed with the bits) instead of np.where, whose per-element
+    branch mispredicts on pooling data and costs several times as much.
+    """
     window = int(window)
     stride = int(stride)
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d: need 4-d input, got {x.shape}")
-    N, C, H, W = x.shape
+    H, W = x.shape[2:]
     if window > H or window > W:
         raise ShapeError(f"maxpool2d: window {window} exceeds spatial extent {H}x{W}")
 
-    v = sliding_window_view(x.data, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    Ho, Wo = v.shape[2], v.shape[3]
-    vr = v.reshape(N, C, Ho, Wo, window * window)
-    arg = vr.argmax(axis=-1)  # first occurrence on ties
-    out = np.take_along_axis(vr, arg[..., None], axis=-1)[..., 0]
+    Ho, Wo = (H - window) // stride + 1, (W - window) // stride + 1
+    taps = _taps(x.data, window, window, stride, Ho, Wo)
+    out = taps[0].copy()
+    bits = _bits(out)
+    for v in taps[1:]:
+        # out = np.where(v > out, v, out), in place
+        bits ^= (bits ^ _bits(v)) & np.negative(v > out, dtype=bits.dtype)
 
     def bwd(g):
-        ri = arg // window + (stride * np.arange(Ho))[None, None, :, None]
-        cj = arg % window + (stride * np.arange(Wo))[None, None, None, :]
-        base = (np.arange(N)[:, None, None, None] * C + np.arange(C)[None, :, None, None])
-        flat = (base * H + ri) * W + cj
-        dx = np.bincount(
-            flat.ravel(), weights=g.ravel(), minlength=N * C * H * W
-        ).reshape(N, C, H, W).astype(g.dtype, copy=False)
-        return (dx,)
+        free = np.ones(out.shape, dtype=bool)
+        hits = []
+        for v in taps:
+            hit = (v == out) & free
+            free ^= hit
+            hits.append(hit)
+        dx = np.zeros(x.shape, np.float64 if stride < window else g.dtype)
+        gbits = _bits(g)
+        # reverse tap order visits the windows sharing an element in row-major order
+        for tap, hit in zip(_taps(dx, window, window, stride, Ho, Wo)[::-1], hits[::-1]):
+            tap += (gbits & np.negative(hit, dtype=gbits.dtype)).view(g.dtype)  # g, or +0.0
+        return (dx.astype(g.dtype, copy=False),)
 
-    return _emit(np.ascontiguousarray(out), (x,), bwd, tape)
+    return _emit(out, (x,), bwd, tape)
 
 
 def global_avg_pool(x, tape=None):

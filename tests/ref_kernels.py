@@ -1,0 +1,75 @@
+"""Exactness oracle: the bincount-scatter kernels that conv2d's input
+gradient and maxpool2d used before their strided slice-add versions.
+
+Plain numpy on raw arrays. Each function returns (out, bwd), where bwd(g)
+gives the gradients the op's backward must reproduce byte for byte:
+np.bincount sums the scattered weights in float64, in the order the flat
+indices are listed, starting from +0.0, then the result is cast to g's dtype.
+"""
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+
+def _col_indices(C, Hp, Wp, kh, kw, stride, Ho, Wo):
+    """Flat scatter indices mapping im2col columns back into the padded input."""
+    c = np.repeat(np.arange(C), kh * kw)
+    ki = np.tile(np.repeat(np.arange(kh), kw), C)
+    kj = np.tile(np.arange(kw), C * kh)
+    oi = stride * np.repeat(np.arange(Ho), Wo)
+    oj = stride * np.tile(np.arange(Wo), Ho)
+    rows = ki[:, None] + oi[None, :]
+    cols = kj[:, None] + oj[None, :]
+    return ((c[:, None] * Hp + rows) * Wp + cols).astype(np.int64)
+
+
+def conv2d(x, w, b, stride, padding):
+    """im2col + matmul forward; bwd(g) -> (dx, dw, db)."""
+    N, C, H, W = x.shape
+    F, _, kh, kw = w.shape
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    v = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    Ho, Wo = v.shape[2], v.shape[3]
+    cols = np.ascontiguousarray(v.transpose(0, 1, 4, 5, 2, 3).reshape(N, C * kh * kw, Ho * Wo))
+    wr = w.reshape(F, -1)
+    out = np.matmul(wr, cols).reshape(N, F, Ho, Wo) + b[None, :, None, None]
+
+    def bwd(g):
+        gr = g.reshape(N, F, Ho * Wo)
+        dw = np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+        db = g.sum(axis=(0, 2, 3))
+        dcols = np.matmul(wr.T, gr)  # [N, C*kh*kw, Ho*Wo]
+        idx = _col_indices(C, Hp, Wp, kh, kw, stride, Ho, Wo)
+        offs = np.arange(N, dtype=np.int64)[:, None, None] * (C * Hp * Wp)
+        dxp = np.bincount(
+            (idx[None] + offs).ravel(),
+            weights=dcols.ravel(),
+            minlength=N * C * Hp * Wp,
+        ).reshape(N, C, Hp, Wp)
+        if padding:
+            dxp = dxp[:, :, padding:-padding, padding:-padding]
+        return dxp.astype(g.dtype, copy=False), dw, db
+
+    return out, bwd
+
+
+def maxpool2d(x, window, stride):
+    """argmax forward (first maximum on ties); bwd(g) -> dx."""
+    N, C, H, W = x.shape
+    v = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+    Ho, Wo = v.shape[2], v.shape[3]
+    vr = v.reshape(N, C, Ho, Wo, window * window)
+    arg = vr.argmax(axis=-1)  # first occurrence on ties
+    out = np.take_along_axis(vr, arg[..., None], axis=-1)[..., 0]
+
+    def bwd(g):
+        ri = arg // window + (stride * np.arange(Ho))[None, None, :, None]
+        cj = arg % window + (stride * np.arange(Wo))[None, None, None, :]
+        base = (np.arange(N)[:, None, None, None] * C + np.arange(C)[None, :, None, None])
+        flat = (base * H + ri) * W + cj
+        return np.bincount(
+            flat.ravel(), weights=g.ravel(), minlength=N * C * H * W
+        ).reshape(N, C, H, W).astype(g.dtype, copy=False)
+
+    return np.ascontiguousarray(out), bwd

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from xferad import data, nn
+from xferad import data, nn, transfer
 from xferad.cli import main
 from xferad.errors import EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_FORMAT
 
@@ -258,3 +258,23 @@ def test_malformed_task_file_exits_format(corpus, source_weights, task_file, tmp
     extra = (["--weights", source_weights, "--out-dir", str(tmp_path / "out")]
              if command == "evaluate" else [])
     assert main([command, *dataset_flags(corpus), "--task", str(bad), *extra]) == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("command", ["transfer", "evaluate", "validate-task"])
+def test_task_with_test_split_repeating_train_exits_consistency(corpus, source_weights,
+                                                                task_file, tmp_path, command):
+    doc = json.load(open(task_file))
+    n = len(doc["indices"]["test_normal"])
+    doc["indices"]["test_normal"] = doc["indices"]["train_normal"][:n]
+    bad = tmp_path / "leaky_task.json"
+    bad.write_text(json.dumps(doc))
+    detector = str(tmp_path / "detector.xfaw")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+    out = tmp_path / "out"
+    extra = {
+        "transfer": ["--source-weights", source_weights, "--epochs", "1", "--out", str(out)],
+        "evaluate": ["--weights", detector, "--out-dir", str(out)],
+        "validate-task": [],
+    }[command]
+    assert main([command, *dataset_flags(corpus), "--task", str(bad), *extra]) == EXIT_CONSISTENCY
+    assert not out.exists()

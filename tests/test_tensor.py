@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from xferad import tensor as T
 from xferad.errors import ContractError, ShapeError
 
+import ref_kernels
 from fdcheck import TOL_DEFAULT, TOL_POOLING, assert_grads_close, numeric_grad
 
 
@@ -147,6 +150,82 @@ def test_maxpool_gradcheck():
     out = T.maxpool2d(x, 2, 2, tape)
     T.backward(T.sum_all(T.mul(out, T.Tensor(coeff), tape), tape), tape)
     assert_grads_close(x.grad, numeric_grad(scalar, x.data), TOL_POOLING)
+
+
+# ---------------------------------------------------------------------------
+# byte-exactness against the bincount kernels (tests/ref_kernels.py)
+
+VALUE_KINDS = ("normal", "integer", "signed_zeros")
+
+
+def _values(rng, shape, dtype, kind):
+    if kind == "integer":  # many ties
+        return rng.integers(-2, 3, size=shape).astype(dtype)
+    if kind == "infinite":
+        return rng.choice(np.array([np.inf, -np.inf, 1.0, -2.0]), size=shape).astype(dtype)
+    if kind == "signed_zeros":
+        return rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), size=shape).astype(dtype)
+    return rng.standard_normal(shape).astype(dtype)
+
+
+def _rng(dtype, kind):
+    return np.random.default_rng([np.dtype(dtype).itemsize, VALUE_KINDS.index(kind)])
+
+
+def assert_same_bytes(new, ref):
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", VALUE_KINDS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_oracle_bytes(dtype, kind):
+    rng = _rng(dtype, kind)
+    for window, stride, (H, W) in itertools.product((1, 2, 3), (1, 2, 3), ((7, 9), (6, 6))):
+        xd = _values(rng, (2, 3, H, W), dtype, kind)
+        ref_out, ref_bwd = ref_kernels.maxpool2d(xd, window, stride)
+        tape = T.Tape()
+        out = T.maxpool2d(T.Tensor(xd, requires_grad=True), window, stride, tape)
+        assert_same_bytes(out.data, ref_out)
+        for g_kind in VALUE_KINDS + ("infinite",):
+            g = _values(rng, ref_out.shape, dtype, g_kind)
+            with np.errstate(invalid="ignore"):  # inf + -inf where windows overlap
+                (dx,) = tape.nodes[-1].backward_fn(g)
+                assert_same_bytes(dx, ref_bwd(g))
+
+
+@pytest.mark.parametrize("kind", VALUE_KINDS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_matches_oracle_bytes(dtype, kind):
+    rng = _rng(dtype, kind)
+    grid = itertools.product((1, 2, 3), (1, 2, 3), (1, 2), (0, 1, 2), ((5, 7), (6, 6)))
+    for kh, kw, stride, padding, (H, W) in grid:
+        xd = _values(rng, (2, 3, H, W), dtype, kind)
+        wd = _values(rng, (4, 3, kh, kw), dtype, kind)
+        bd = _values(rng, (4,), dtype, kind)
+        ref_out, ref_bwd = ref_kernels.conv2d(xd, wd, bd, stride, padding)
+        tape = T.Tape()
+        leaves = [T.Tensor(a, requires_grad=True) for a in (xd, wd, bd)]
+        out = T.conv2d(*leaves, stride, padding, tape)
+        assert_same_bytes(out.data, ref_out)
+        for g_kind in VALUE_KINDS:
+            g = _values(rng, ref_out.shape, dtype, g_kind)
+            for new, ref in zip(tape.nodes[-1].backward_fn(g), ref_bwd(g)):
+                assert_same_bytes(new, ref)
+
+
+@pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])
+def test_maxpool_negative_zero_gradient_lands_as_positive_zero(window, stride):
+    # bincount adds into +0.0, so -0.0 arrives as +0.0; assigning the hit
+    # gradient keeps -0.0, and assigning g * mask leaves -0.0 wherever g < 0
+    xd = np.arange(36, dtype=np.float32).reshape(1, 1, 6, 6)[:, :, ::-1]
+    ref_out, ref_bwd = ref_kernels.maxpool2d(np.ascontiguousarray(xd), window, stride)
+    g = np.where(np.arange(ref_out.size) % 2, -1.0, -0.0).astype(np.float32).reshape(ref_out.shape)
+    tape = T.Tape()
+    T.maxpool2d(T.Tensor(xd, requires_grad=True), window, stride, tape)
+    (dx,) = tape.nodes[-1].backward_fn(g)
+    assert_same_bytes(dx, ref_bwd(g))
+    assert not np.signbit(dx[dx == 0]).any()
 
 
 # ---------------------------------------------------------------------------
