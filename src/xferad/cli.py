@@ -4,15 +4,17 @@ benchmark, plus make-synth (synthetic IDX corpus) and validate-task.
 Every command writes a JSON manifest beside its outputs recording the
 resolved parameters, input digests and output paths; rerunning a command
 with the same parameters and inputs reproduces its outputs byte for
-byte. Exit codes: 0 success, 2 usage, 3 data format, 4 capacity,
-5 internal consistency, 1 anything else.
+byte. Exit codes: 0 success, 2 usage (malformed flags included),
+otherwise the raised error's XferadError.exit_code, or 1 for OSError.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -20,13 +22,12 @@ import numpy as np
 
 from . import __version__, data, nn, synth, transfer
 from .errors import (
-    EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_FAILURE, EXIT_FORMAT,
-    CapacityError, ConsistencyError, ContractError, FormatError,
-    ShapeError, UndefinedMetricError, XferadError,
+    EXIT_FAILURE, CapacityError, ConsistencyError, ContractError, FormatError,
+    XferadError,
 )
 from .evaluate import (
-    ScoredSet, anomaly_scores, auc_pairwise_oracle, auc_trapezoid,
-    confusion_at, emit_report, evaluate_scores, write_scores_csv,
+    LABEL_ANOMALOUS, LABEL_NORMAL, ScoredSet, anomaly_scores, auc_pairwise_oracle,
+    emit_report, evaluate_scores, write_scores_csv,
 )
 
 AUC_AGREEMENT_TOL = 1e-9
@@ -66,7 +67,7 @@ def _add_dataset_args(p):
     p.add_argument("--root", default=os.environ.get(DATA_ENV_VAR),
                    help=f"data directory for dir/cifar10 formats (default ${DATA_ENV_VAR})")
     p.add_argument("--class-dirs", help="comma-separated class subdirectories (dir format)")
-    p.add_argument("--size", type=int, nargs=2, default=[32, 32], metavar=("H", "W"),
+    p.add_argument("--size", type=_count, nargs=2, default=[32, 32], metavar=("H", "W"),
                    help="preprocess target size (default 32 32; use 224 224 or 299 299 for full-fidelity runs)")
 
 
@@ -138,7 +139,7 @@ def _select_source_classes(ds, class_list, per_class, seed):
 
 def cmd_pretrain(args):
     ds, input_files = _load_dataset(args)
-    class_list = [int(c) for c in args.classes.split(",")]
+    class_list = args.classes
     images, labels = _select_source_classes(ds, class_list, args.per_class, args.seed)
     x = data.preprocess_split(images, args.size)
 
@@ -165,13 +166,16 @@ def cmd_pretrain(args):
     return 0
 
 
-def _task_doc(task, input_files):
-    return {
+def _write_task(path, task, input_files):
+    doc = {
         "anomaly_class": task.anomaly_class,
         "seed": task.seed,
         "inputs": {p: _sha256(p) for p in input_files},
         "indices": {k: v.tolist() for k, v in task.source_indices.items()},
     }
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True)
+        f.write("\n")
 
 
 TASK_SPLITS = ("train_normal", "train_anomalous", "test_normal", "test_anomalous")
@@ -233,9 +237,7 @@ def cmd_make_task(args):
     task = data.build_anomaly_task(
         ds, args.anomaly_class, args.train_per_class, args.test_per_class, args.seed
     )
-    with open(args.out, "w") as f:
-        json.dump(_task_doc(task, input_files), f, sort_keys=True)
-        f.write("\n")
+    _write_task(args.out, task, input_files)
     _write_manifest(
         args.out + ".manifest.json", "make-task",
         {**_dataset_params(args), "anomaly_class": args.anomaly_class,
@@ -256,42 +258,71 @@ def cmd_validate_task(args):
     return 0
 
 
-def _freeze_for(args, model):
-    n_param = len(model.parameterized_layers())
+def _fit_detector(args, source, task, seed, model_selection):
+    """Put a fresh 2-neuron head on source, freeze per --strategy and
+    --freeze-depth, and train it on the task's train splits.
+
+    Returns (trained, record, strategy, freeze depth).
+    """
+    fixed = transfer.FreezePolicy.fixed_extractor(source)
     if args.strategy == "fixed":
-        if args.freeze_depth is not None and args.freeze_depth != n_param - 1:
+        if args.freeze_depth not in (None, fixed.frozen_layer_count):
             raise ContractError(
-                f"--strategy fixed freezes all {n_param - 1} non-head layers; "
+                f"--strategy fixed freezes all {fixed.frozen_layer_count} non-head layers; "
                 f"--freeze-depth {args.freeze_depth} conflicts"
             )
-        return transfer.STRATEGY_FIXED, transfer.FreezePolicy(n_param - 1)
-    depth = args.freeze_depth if args.freeze_depth is not None else n_param - 2
-    return transfer.STRATEGY_FINE_TUNE, transfer.FreezePolicy(depth)
+        strategy, policy = transfer.STRATEGY_FIXED, fixed
+    else:
+        depth = fixed.frozen_layer_count - 1 if args.freeze_depth is None else args.freeze_depth
+        strategy, policy = transfer.STRATEGY_FINE_TUNE, transfer.FreezePolicy(depth)
+    model = transfer.apply_freeze(transfer.replace_head(source, 2, seed), policy)
+    hw = source.input_shape[1:]
+    task = dataclasses.replace(
+        task, train_normal=data.preprocess_split(task.train_normal, hw),
+        train_anomalous=data.preprocess_split(task.train_anomalous, hw),
+    )
+    config = transfer.TransferConfig(
+        strategy=strategy, freeze=policy, lr0=args.lr, epochs=args.epochs, seed=seed,
+        batch_size=args.batch_size, model_selection=model_selection,
+    )
+    trained, record = transfer.train_target(model, task, config)
+    return trained, record, strategy, policy.frozen_layer_count
+
+
+def _checked_report(model, task, threshold):
+    """Score the task's test splits (normal 0, anomalous 1) and report at
+    threshold; ConsistencyError unless the pairwise oracle agrees on the AUC.
+
+    Returns (scored, report).
+    """
+    hw = model.input_shape[1:]
+    normal = data.preprocess_split(task.test_normal, hw)
+    anomalous = data.preprocess_split(task.test_anomalous, hw)
+    labels = [LABEL_NORMAL] * len(normal) + [LABEL_ANOMALOUS] * len(anomalous)
+    scored = ScoredSet(anomaly_scores(model, np.concatenate([normal, anomalous])), labels)
+    report = evaluate_scores(scored, threshold)
+    oracle = auc_pairwise_oracle(scored)
+    if abs(report.auc - oracle) > AUC_AGREEMENT_TOL:
+        raise ConsistencyError(
+            f"AUC implementations disagree: trapezoid {report.auc!r} vs pairwise {oracle!r}"
+        )
+    return scored, report
 
 
 def cmd_transfer(args):
     ds, input_files = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
     task = _resolve_task(args.task, ds, input_files)
-    hw = source.input_shape[1:]
-    ptask = data.preprocess_task(task, hw)
-
-    strategy, policy = _freeze_for(args, source)
-    model = transfer.replace_head(source, 2, args.seed)
-    model = transfer.apply_freeze(model, policy)
-    config = transfer.TransferConfig(
-        strategy=strategy, freeze=policy, lr0=args.lr, epochs=args.epochs,
-        seed=args.seed, batch_size=args.batch_size,
-        model_selection=args.model_selection,
+    trained, record, strategy, depth = _fit_detector(
+        args, source, task, args.seed, args.model_selection
     )
-    trained, record = transfer.train_target(model, ptask, config)
     nn.save_weights(trained, args.out)
     record_path = args.out + ".record.csv"
     record.to_csv(record_path)
     _write_manifest(
         args.out + ".manifest.json", "transfer",
         {**_dataset_params(args), "strategy": args.strategy,
-         "freeze_depth": policy.frozen_layer_count, "source_weights": args.source_weights,
+         "freeze_depth": depth, "source_weights": args.source_weights,
          "task": args.task, "epochs": args.epochs, "lr": args.lr,
          "batch_size": args.batch_size, "model_selection": args.model_selection,
          "seed": args.seed},
@@ -299,37 +330,17 @@ def cmd_transfer(args):
     )
     sel = record.selected_epoch
     val = record.epochs[sel].val_auc if record.epochs else None
-    print(f"transfer ({strategy}, freeze depth {policy.frozen_layer_count}): "
+    print(f"transfer ({strategy}, freeze depth {depth}): "
           f"selected epoch {sel}" + (f", val AUC {val:.4f}" if val is not None else "")
           + f"; weights -> {args.out}")
     return 0
-
-
-def _score_test_split(model, test_normal, test_anomalous):
-    """Score preprocessed test images; normal ones are labelled 0, anomalous 1."""
-    x = np.concatenate([np.asarray(test_normal), np.asarray(test_anomalous)])
-    y = np.concatenate([
-        np.zeros(len(test_normal), dtype=np.int64),
-        np.ones(len(test_anomalous), dtype=np.int64),
-    ])
-    return ScoredSet(anomaly_scores(model, x), y)
 
 
 def cmd_evaluate(args):
     ds, input_files = _load_dataset(args)
     model = nn.load_weights(args.weights)
     task = _resolve_task(args.task, ds, input_files)
-    hw = model.input_shape[1:]
-    scored = _score_test_split(model, data.preprocess_split(task.test_normal, hw),
-                               data.preprocess_split(task.test_anomalous, hw))
-
-    auc = auc_trapezoid(scored)
-    oracle = auc_pairwise_oracle(scored)
-    if abs(auc - oracle) > AUC_AGREEMENT_TOL:
-        raise ConsistencyError(
-            f"AUC implementations disagree: trapezoid {auc!r} vs pairwise {oracle!r}"
-        )
-    report = evaluate_scores(scored, args.threshold)
+    scored, report = _checked_report(model, task, args.threshold)
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.json")
@@ -363,7 +374,6 @@ def cmd_evaluate(args):
 def cmd_benchmark(args):
     ds, input_files = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
-    hw = source.input_shape[1:]
     os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []
@@ -373,39 +383,23 @@ def cmd_benchmark(args):
             ds, cls, args.train_per_class, args.test_per_class, args.seed
         )
         task_path = os.path.join(args.out_dir, f"task_{cls}.json")
-        with open(task_path, "w") as f:
-            json.dump(_task_doc(task, input_files), f, sort_keys=True)
-            f.write("\n")
+        _write_task(task_path, task, input_files)
 
-        ptask = data.preprocess_task(task, hw)
-        strategy, policy = _freeze_for(args, source)
-        model = transfer.replace_head(source, 2, args.seed + cls)
-        model = transfer.apply_freeze(model, policy)
-        config = transfer.TransferConfig(
-            strategy=strategy, freeze=policy, lr0=args.lr, epochs=args.epochs,
-            seed=args.seed + cls, batch_size=args.batch_size,
+        trained, record, _, _ = _fit_detector(
+            args, source, task, args.seed + cls, transfer.SELECT_BEST_VAL_AUC
         )
-        trained, record = transfer.train_target(model, ptask, config)
-
         weights_path = os.path.join(args.out_dir, f"weights_{cls}.xfaw")
         record_path = os.path.join(args.out_dir, f"record_{cls}.csv")
         nn.save_weights(trained, weights_path)
         record.to_csv(record_path)
 
-        scored = _score_test_split(trained, ptask.test_normal, ptask.test_anomalous)
-        auc = auc_trapezoid(scored)
-        oracle = auc_pairwise_oracle(scored)
-        if abs(auc - oracle) > AUC_AGREEMENT_TOL:
-            raise ConsistencyError(
-                f"AUC implementations disagree on class {cls}: {auc!r} vs {oracle!r}"
-            )
-        report = evaluate_scores(scored, 0.5)
+        _, report = _checked_report(trained, task, 0.5)
         report_path = os.path.join(args.out_dir, f"report_{cls}.json")
         emit_report(report, report_path, "json")
 
-        rows.append((cls, auc))
+        rows.append((cls, report.auc))
         outputs += [task_path, weights_path, record_path, report_path]
-        print(f"class {cls}: test AUC {auc:.6f}")
+        print(f"class {cls}: test AUC {report.auc:.6f}")
 
     csv_path = os.path.join(args.out_dir, "benchmark.csv")
     with open(csv_path, "w") as f:
@@ -432,6 +426,29 @@ def cmd_benchmark(args):
 # parser
 
 
+def _checked(convert, ok, expected):
+    """argparse type: convert(text), a usage error (exit 2) unless ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_finite = _checked(float, math.isfinite, "a finite number")
+_class_list = _checked(
+    lambda text: [int(c) for c in text.split(",")],
+    lambda v: min(v) >= 0 and len(set(v)) == len(v),
+    "distinct comma-separated integers >= 0",
+)
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="xferad",
@@ -442,30 +459,30 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("make-synth", help="write a synthetic digit corpus as IDX files")
-    s.add_argument("--per-class", type=int, default=500)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--per-class", type=_count, default=500)
+    s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out-images", required=True)
     s.add_argument("--out-labels", required=True)
     s.set_defaults(fn=cmd_make_synth)
 
     s = sub.add_parser("pretrain", help="train the source network from scratch")
     _add_dataset_args(s)
-    s.add_argument("--classes", default="0,1,2,3,4,5,6,7",
+    s.add_argument("--classes", type=_class_list, default="0,1,2,3,4,5,6,7",
                    help="comma-separated source class indices")
-    s.add_argument("--per-class", type=int, default=500)
-    s.add_argument("--epochs", type=int, default=10)
-    s.add_argument("--lr", type=float, default=transfer.PRETRAIN_LR)
-    s.add_argument("--batch-size", type=int, default=16)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--per-class", type=_count, default=500)
+    s.add_argument("--epochs", type=_non_negative, default=10)
+    s.add_argument("--lr", type=_finite, default=transfer.PRETRAIN_LR)
+    s.add_argument("--batch-size", type=_count, default=16)
+    s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out", required=True, help="weight file to write")
     s.set_defaults(fn=cmd_pretrain)
 
     s = sub.add_parser("make-task", help="build a one-vs-rest anomaly task index file")
     _add_dataset_args(s)
     s.add_argument("--anomaly-class", type=int, required=True)
-    s.add_argument("--train-per-class", type=int, required=True)
-    s.add_argument("--test-per-class", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--train-per-class", type=_count, required=True)
+    s.add_argument("--test-per-class", type=_count, required=True)
+    s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_make_task)
 
@@ -481,12 +498,12 @@ def _build_parser():
                    help="parameterized layers to freeze (finetune default: all conv blocks but the last)")
     s.add_argument("--source-weights", required=True)
     s.add_argument("--task", required=True)
-    s.add_argument("--epochs", type=int, default=50)
-    s.add_argument("--lr", type=float, default=1e-3)
-    s.add_argument("--batch-size", type=int, default=16)
+    s.add_argument("--epochs", type=_non_negative, default=50)
+    s.add_argument("--lr", type=_finite, default=1e-3)
+    s.add_argument("--batch-size", type=_count, default=16)
     s.add_argument("--model-selection", choices=[transfer.SELECT_BEST_VAL_AUC, transfer.SELECT_LAST_EPOCH],
                    default=transfer.SELECT_BEST_VAL_AUC)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out", required=True, help="weight file to write")
     s.set_defaults(fn=cmd_transfer)
 
@@ -494,7 +511,7 @@ def _build_parser():
     _add_dataset_args(s)
     s.add_argument("--weights", required=True)
     s.add_argument("--task", required=True)
-    s.add_argument("--threshold", type=float, default=0.5)
+    s.add_argument("--threshold", type=_finite, default=0.5)
     s.add_argument("--out-dir", required=True)
     s.set_defaults(fn=cmd_evaluate)
 
@@ -503,12 +520,12 @@ def _build_parser():
     s.add_argument("--source-weights", required=True)
     s.add_argument("--strategy", choices=["fixed", "finetune"], default="finetune")
     s.add_argument("--freeze-depth", type=int, default=None)
-    s.add_argument("--train-per-class", type=int, default=1000)
-    s.add_argument("--test-per-class", type=int, default=1000)
-    s.add_argument("--epochs", type=int, default=8)
-    s.add_argument("--lr", type=float, default=1e-3)
-    s.add_argument("--batch-size", type=int, default=16)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--train-per-class", type=_count, default=1000)
+    s.add_argument("--test-per-class", type=_count, default=1000)
+    s.add_argument("--epochs", type=_non_negative, default=8)
+    s.add_argument("--lr", type=_finite, default=1e-3)
+    s.add_argument("--batch-size", type=_count, default=16)
+    s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out-dir", required=True)
     s.set_defaults(fn=cmd_benchmark)
 
@@ -520,18 +537,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as e:
+    except (XferadError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_FORMAT
-    except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ConsistencyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONSISTENCY
-    except (ContractError, ShapeError, UndefinedMetricError, XferadError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+        return getattr(e, "exit_code", EXIT_FAILURE)
 
 
 if __name__ == "__main__":

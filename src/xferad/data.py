@@ -68,9 +68,6 @@ class AnomalyTask:
     seed: int
     source_indices: dict = field(default=None, repr=False)
 
-    LABEL_NORMAL = 0
-    LABEL_ANOMALOUS = 1
-
 
 # ---------------------------------------------------------------------------
 # IDX files (big-endian)

@@ -151,19 +151,6 @@ class GlobalAvgPool(Layer):
         return T.global_avg_pool(x, tape)
 
 
-class Flatten(Layer):
-    kind = "flatten"
-
-    def out_shape(self, in_shape):
-        n = 1
-        for e in in_shape:
-            n *= e
-        return (n,)
-
-    def forward(self, x, tape=None):
-        return T.flatten(x, tape)
-
-
 def _he_normal(rng, shape, fan_in, dtype):
     if rng is None:
         rng = np.random.default_rng()
@@ -281,14 +268,6 @@ def build_small_convnet(input_shape, num_classes, seed, *, dtype=np.float32):
         Dense(32, num_classes, rng=rng, dtype=dtype),
     ]
     return ModelGraph(layers, (C, H, W), num_classes)
-
-
-def forward(model, batch, record=False):
-    """Convenience wrapper: returns logits, or (logits, tape) when recording."""
-    if record:
-        tape = T.Tape()
-        return model.forward(batch, tape), tape
-    return model.forward(batch)
 
 
 # ---------------------------------------------------------------------------

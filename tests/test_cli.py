@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from xferad import data, nn, transfer
+from xferad import cli, data, nn, transfer
 from xferad.cli import main
-from xferad.errors import EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_FORMAT
+from xferad.errors import (
+    EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_FORMAT, CapacityError, ConsistencyError,
+    ContractError, FormatError, ShapeError, UndefinedMetricError, XferadError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +200,58 @@ def test_usage_error_exits_2():
     assert e.value.code == 2
 
 
+MALFORMED_NUMERIC_FLAGS = [
+    ("pretrain", ["--classes", "0,x"]),
+    ("pretrain", ["--size", "0", "0"]),
+    ("pretrain", ["--per-class", "0"]),
+    ("make-synth", ["--per-class", "0"]),
+    ("benchmark", ["--train-per-class", "0"]),
+    ("make-synth", ["--seed", "-1"]),
+    ("make-task", ["--seed", "-1"]),
+    ("pretrain", ["--seed", "-1"]),
+    ("evaluate", ["--threshold", "nan"]),
+    ("make-task", ["--train-per-class", "-1"]),
+    ("pretrain", ["--classes", "0,0"]),
+    ("pretrain", ["--lr", "nan"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", MALFORMED_NUMERIC_FLAGS,
+                         ids=["_".join([c, *f]) for c, f in MALFORMED_NUMERIC_FLAGS])
+def test_malformed_numeric_flag_exits_usage(corpus, source_weights, task_file, tmp_path,
+                                            command, flags):
+    detector = str(tmp_path / "detector.xfaw")
+    if command == "evaluate":
+        nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+    out = str(tmp_path / "out")
+    base = {
+        "make-synth": ["--per-class", "2", "--out-images", out + "-i", "--out-labels", out + "-l"],
+        "pretrain": [*dataset_flags(corpus), "--classes", "0,1", "--per-class", "5",
+                     "--epochs", "1", "--out", out],
+        "make-task": [*dataset_flags(corpus), "--anomaly-class", "9", "--train-per-class", "4",
+                      "--test-per-class", "4", "--out", out],
+        "evaluate": [*dataset_flags(corpus), "--weights", detector, "--task", task_file,
+                     "--out-dir", out],
+        "benchmark": [*dataset_flags(corpus), "--source-weights", source_weights,
+                      "--train-per-class", "4", "--test-per-class", "4", "--epochs", "1",
+                      "--out-dir", out],
+    }[command]
+    with pytest.raises(SystemExit) as e:
+        main([command, *base, *flags])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (FormatError, 3), (CapacityError, 4), (ConsistencyError, 5), (ContractError, 1),
+    (ShapeError, 1), (UndefinedMetricError, 1), (XferadError, 1), (OSError, 1),
+])
+def test_main_returns_each_error_class_exit_code(monkeypatch, error, code):
+    def fail(args):
+        raise error("injected")
+    monkeypatch.setattr(cli, "cmd_validate_task", fail)
+    assert main(["validate-task", "--task", "unused.json"]) == code
+
+
 def test_commands_never_mutate_input_files(corpus, source_weights, task_file, tmp_path):
     import hashlib
 
@@ -227,19 +282,49 @@ def test_benchmark_csv_structure(corpus, source_weights, tmp_path):
         nn.load_weights(f"{out_dir}/weights_{cls}.xfaw")
 
 
-def test_benchmark_loops_over_the_dataset_classes(corpus, source_weights, tmp_path):
+@pytest.fixture(scope="module")
+def two_class_corpus(corpus, tmp_path_factory):
+    """Classes 0 and 1 of the shared corpus, as their own IDX pair."""
     ds = data.load_idx(corpus["images"], corpus["labels"])
     keep = ds.labels < 2
-    imgs, lbls = str(tmp_path / "two-images"), str(tmp_path / "two-labels")
+    root = tmp_path_factory.mktemp("two")
+    imgs, lbls = str(root / "two-images"), str(root / "two-labels")
     data.write_idx(ds.images[keep], ds.labels[keep], imgs, lbls)
+    return {"images": imgs, "labels": lbls}
+
+
+def test_benchmark_loops_over_the_dataset_classes(two_class_corpus, source_weights, tmp_path):
     out_dir = str(tmp_path / "bench")
-    assert main(["benchmark", "--data-format", "idx", "--images", imgs, "--labels", lbls,
-                 "--size", "16", "16", "--source-weights", source_weights,
+    assert main(["benchmark", *dataset_flags(two_class_corpus), "--source-weights", source_weights,
                  "--train-per-class", "12", "--test-per-class", "6",
                  "--epochs", "1", "--seed", "9", "--out-dir", out_dir]) == 0
     with open(f"{out_dir}/benchmark.csv") as f:
         rows = list(csv.reader(f))
     assert [r[0] for r in rows] == ["class", "0", "1", "mean"]
+
+
+@pytest.mark.parametrize("strategy", ["fixed", "finetune"])
+def test_benchmark_equals_make_task_transfer_evaluate_per_class(two_class_corpus, source_weights,
+                                                                tmp_path, strategy):
+    flags = dataset_flags(two_class_corpus)
+    bench = tmp_path / "bench"
+    assert main(["benchmark", *flags, "--source-weights", source_weights, "--strategy", strategy,
+                 "--train-per-class", "12", "--test-per-class", "6",
+                 "--epochs", "2", "--seed", "9", "--out-dir", str(bench)]) == 0
+    same = lambda a, b: open(a, "rb").read() == open(b, "rb").read()
+    for c in (0, 1):
+        task, weights, ev = tmp_path / f"task{c}.json", tmp_path / f"w{c}.xfaw", tmp_path / f"e{c}"
+        assert main(["make-task", *flags, "--anomaly-class", str(c), "--train-per-class", "12",
+                     "--test-per-class", "6", "--seed", "9", "--out", str(task)]) == 0
+        assert main(["transfer", *flags, "--strategy", strategy, "--source-weights", source_weights,
+                     "--task", str(task), "--epochs", "2", "--seed", str(9 + c),
+                     "--out", str(weights)]) == 0
+        assert main(["evaluate", *flags, "--weights", str(weights), "--task", str(task),
+                     "--out-dir", str(ev)]) == 0
+        assert same(task, bench / f"task_{c}.json")
+        assert same(weights, bench / f"weights_{c}.xfaw")
+        assert same(f"{weights}.record.csv", bench / f"record_{c}.csv")
+        assert same(ev / "report.json", bench / f"report_{c}.json")
 
 
 @pytest.mark.parametrize("tamper", [

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from xferad import data
+from xferad import data, evaluate
 from xferad.errors import CapacityError, FormatError
 
 from taskstats import hypergeom_mean_sigma
@@ -237,8 +237,8 @@ def test_task_disjoint_and_excludes_anomaly_class():
     anom = np.concatenate([idx["train_anomalous"], idx["test_anomalous"]])
     assert (ds.labels[anom] == 3).all()
     # label convention is fixed project-wide
-    assert data.AnomalyTask.LABEL_NORMAL == 0
-    assert data.AnomalyTask.LABEL_ANOMALOUS == 1
+    assert evaluate.LABEL_NORMAL == 0
+    assert evaluate.LABEL_ANOMALOUS == 1
 
 
 def test_task_same_seed_identical_different_seed_differs():

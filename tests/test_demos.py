@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_autodiff_basics.py", "03_data_and_tasks.py",
-                                  "05_roc_reports.py"])
+                                  "04_transfer_pipeline.py", "05_roc_reports.py"])
 def test_demo_exits_zero(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,

@@ -53,7 +53,7 @@ def test_input_too_small_for_three_pools():
 
 def test_model_must_end_in_single_dense():
     with pytest.raises(ShapeError, match="dense"):
-        nn.ModelGraph([nn.Flatten()], (3, 4, 4), 48)
+        nn.ModelGraph([nn.GlobalAvgPool()], (3, 4, 4), 48)
 
 
 def test_batch_independence_row0():
@@ -79,7 +79,7 @@ def test_suffix_shares_layers_and_continues_the_forward_pass():
 def test_forward_without_record_cannot_backprop():
     m = small_model()
     x = T.Tensor(np.random.default_rng(2).random((2, 3, 32, 32), dtype=np.float32))
-    logits = nn.forward(m, x, record=False)
+    logits = m.forward(x)
     loss = T.softmax_cross_entropy(logits, [0, 1])
     with pytest.raises(ContractError):
         T.backward(loss, T.Tape())
