@@ -213,11 +213,14 @@ def _resolve_task(path, ds, input_files):
 
 
 def _check_task_invariants(path, labels, idx, anomaly_class):
-    """ConsistencyError unless the train splits are equal-sized, train and
-    test are disjoint, and each split holds only the labels its role allows."""
+    """ConsistencyError unless every split is non-empty, the train splits
+    are equal-sized, train and test are disjoint, and each split holds only
+    the labels its role allows."""
     train = np.concatenate([idx["train_normal"], idx["train_anomalous"]])
     test = np.concatenate([idx["test_normal"], idx["test_anomalous"]])
     problems = []
+    if any(len(v) == 0 for v in idx.values()):
+        problems.append("a split is empty")
     if len(idx["train_normal"]) != len(idx["train_anomalous"]):
         problems.append("train splits are not equal-sized")
     if np.intersect1d(train, test).size:
@@ -442,6 +445,7 @@ def _checked(convert, ok, expected):
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
+_rate = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _class_list = _checked(
     lambda text: [int(c) for c in text.split(",")],
     lambda v: min(v) >= 0 and len(set(v)) == len(v),
@@ -471,7 +475,7 @@ def _build_parser():
                    help="comma-separated source class indices")
     s.add_argument("--per-class", type=_count, default=500)
     s.add_argument("--epochs", type=_non_negative, default=10)
-    s.add_argument("--lr", type=_finite, default=transfer.PRETRAIN_LR)
+    s.add_argument("--lr", type=_rate, default=transfer.PRETRAIN_LR)
     s.add_argument("--batch-size", type=_count, default=16)
     s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out", required=True, help="weight file to write")
@@ -479,7 +483,7 @@ def _build_parser():
 
     s = sub.add_parser("make-task", help="build a one-vs-rest anomaly task index file")
     _add_dataset_args(s)
-    s.add_argument("--anomaly-class", type=int, required=True)
+    s.add_argument("--anomaly-class", type=_non_negative, required=True)
     s.add_argument("--train-per-class", type=_count, required=True)
     s.add_argument("--test-per-class", type=_count, required=True)
     s.add_argument("--seed", type=_non_negative, default=0)
@@ -494,12 +498,12 @@ def _build_parser():
     s = sub.add_parser("transfer", help="replace head, freeze, train on a task")
     _add_dataset_args(s)
     s.add_argument("--strategy", choices=["fixed", "finetune"], default="finetune")
-    s.add_argument("--freeze-depth", type=int, default=None,
+    s.add_argument("--freeze-depth", type=_non_negative, default=None,
                    help="parameterized layers to freeze (finetune default: all conv blocks but the last)")
     s.add_argument("--source-weights", required=True)
     s.add_argument("--task", required=True)
     s.add_argument("--epochs", type=_non_negative, default=50)
-    s.add_argument("--lr", type=_finite, default=1e-3)
+    s.add_argument("--lr", type=_rate, default=1e-3)
     s.add_argument("--batch-size", type=_count, default=16)
     s.add_argument("--model-selection", choices=[transfer.SELECT_BEST_VAL_AUC, transfer.SELECT_LAST_EPOCH],
                    default=transfer.SELECT_BEST_VAL_AUC)
@@ -519,11 +523,11 @@ def _build_parser():
     _add_dataset_args(s)
     s.add_argument("--source-weights", required=True)
     s.add_argument("--strategy", choices=["fixed", "finetune"], default="finetune")
-    s.add_argument("--freeze-depth", type=int, default=None)
+    s.add_argument("--freeze-depth", type=_non_negative, default=None)
     s.add_argument("--train-per-class", type=_count, default=1000)
     s.add_argument("--test-per-class", type=_count, default=1000)
     s.add_argument("--epochs", type=_non_negative, default=8)
-    s.add_argument("--lr", type=_finite, default=1e-3)
+    s.add_argument("--lr", type=_rate, default=1e-3)
     s.add_argument("--batch-size", type=_count, default=16)
     s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out-dir", required=True)

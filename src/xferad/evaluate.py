@@ -24,6 +24,9 @@ SCORE_CONVENTION = "anomalous_neuron_probability"
 LABEL_NORMAL = 0
 LABEL_ANOMALOUS = 1
 
+# samples per tape-free forward pass, in scoring and in the frozen-prefix cache
+INFER_BATCH = 64
+
 
 @dataclass
 class ScoredSet:
@@ -90,7 +93,7 @@ class EvalReport:
 # scoring
 
 
-def anomaly_scores(model, samples, batch_size=64):
+def anomaly_scores(model, samples):
     """Softmax probability of the anomalous-class neuron, per sample.
 
     Pure inference (no tape); the model must have exactly 2 outputs.
@@ -105,8 +108,8 @@ def anomaly_scores(model, samples, batch_size=64):
     if samples.dtype != np.float64:
         samples = samples.astype(np.float32, copy=False)
     out = np.empty(len(samples), dtype=np.float64)
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
+    for start in range(0, len(samples), INFER_BATCH):
+        chunk = samples[start:start + INFER_BATCH]
         logits = model.forward(T.Tensor(chunk)).data
         out[start:start + len(chunk)] = T.softmax(logits)[:, LABEL_ANOMALOUS]
     return out
@@ -319,11 +322,10 @@ def load_report(path):
         return report_from_dict(json.load(f))
 
 
-def write_scores_csv(scored, path, sample_ids=None):
-    """Score dump: sample_id,label,score rows for external tools."""
-    ids = sample_ids if sample_ids is not None else range(len(scored.labels))
+def write_scores_csv(scored, path):
+    """Score dump: sample_id (position in scored),label,score rows."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["sample_id", "label", "score"])
-        for i, (y, s) in zip(ids, zip(scored.labels, scored.scores)):
+        for i, (y, s) in enumerate(zip(scored.labels, scored.scores)):
             w.writerow([i, int(y), repr(float(s))])

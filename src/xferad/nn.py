@@ -10,7 +10,6 @@ rebuilt from the file alone.
 
 from __future__ import annotations
 
-import copy
 import struct
 import zlib
 
@@ -25,22 +24,19 @@ _META_INPUT_HW = "__meta__.input_hw"
 
 
 class Layer:
-    """Base layer: a kind tag, optional named parameters, a trainable flag."""
+    """Base layer: a kind tag, optional named parameters, and a trainable
+    flag kept only as their requires_grad (True when parameter-free)."""
 
     kind = "?"
 
-    def __init__(self):
-        self._trainable = True
-
     @property
     def trainable(self):
-        return self._trainable
+        return all(p.requires_grad for p in self.params().values())
 
     @trainable.setter
     def trainable(self, value):
-        self._trainable = bool(value)
         for p in self.params().values():
-            p.requires_grad = self._trainable
+            p.requires_grad = bool(value)
 
     def params(self):
         """Named parameter tensors of this layer ({} when parameter-free)."""
@@ -55,13 +51,11 @@ class Layer:
 
 
 class Conv2d(Layer):
+    """Square-kernel conv, stride 1, padding 1 (weight files record only the kernel)."""
+
     kind = "conv"
 
-    def __init__(self, in_channels, filters, kernel=3, stride=1, padding=1, *,
-                 rng=None, dtype=np.float32):
-        super().__init__()
-        self.stride = int(stride)
-        self.padding = int(padding)
+    def __init__(self, in_channels, filters, kernel=3, *, rng=None, dtype=np.float32):
         fan_in = in_channels * kernel * kernel
         w = _he_normal(rng, (filters, in_channels, kernel, kernel), fan_in, dtype)
         self.weight = T.Tensor(w, requires_grad=True)
@@ -77,20 +71,19 @@ class Conv2d(Layer):
         F, Cw, kh, kw = self.weight.shape
         if C != Cw:
             raise ShapeError(f"conv expects {Cw} channels, got {C}")
-        Hp, Wp = H + 2 * self.padding, W + 2 * self.padding
+        Hp, Wp = H + 2, W + 2
         if kh > Hp or kw > Wp:
             raise ShapeError(f"conv kernel {kh}x{kw} larger than padded input {Hp}x{Wp}")
-        return (F, (Hp - kh) // self.stride + 1, (Wp - kw) // self.stride + 1)
+        return (F, Hp - kh + 1, Wp - kw + 1)
 
     def forward(self, x, tape=None):
-        return T.conv2d(x, self.weight, self.bias, self.stride, self.padding, tape)
+        return T.conv2d(x, self.weight, self.bias, 1, 1, tape)
 
 
 class Dense(Layer):
     kind = "dense"
 
     def __init__(self, in_features, out_features, *, rng=None, dtype=np.float32):
-        super().__init__()
         w = _he_normal(rng, (in_features, out_features), in_features, dtype)
         self.weight = T.Tensor(w, requires_grad=True)
         self.bias = T.Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
@@ -120,23 +113,20 @@ class Relu(Layer):
 
 
 class MaxPool2d(Layer):
-    kind = "maxpool"
+    """2x2 max pooling, stride 2."""
 
-    def __init__(self, window=2, stride=2):
-        super().__init__()
-        self.window = int(window)
-        self.stride = int(stride)
+    kind = "maxpool"
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
             raise ShapeError(f"maxpool expects (C,H,W) input, got {in_shape}")
         C, H, W = in_shape
-        if self.window > H or self.window > W:
-            raise ShapeError(f"maxpool window {self.window} exceeds {H}x{W}")
-        return (C, (H - self.window) // self.stride + 1, (W - self.window) // self.stride + 1)
+        if H < 2 or W < 2:
+            raise ShapeError(f"maxpool window 2 exceeds {H}x{W}")
+        return (C, H // 2, W // 2)
 
     def forward(self, x, tape=None):
-        return T.maxpool2d(x, self.window, self.stride, tape)
+        return T.maxpool2d(x, 2, 2, tape)
 
 
 class GlobalAvgPool(Layer):
@@ -232,9 +222,6 @@ class ModelGraph:
 
     def copy(self):
         """Deep copy: independent parameter arrays, same structure and flags."""
-        return copy.deepcopy(self)
-
-    def __deepcopy__(self, memo):
         clone = object.__new__(ModelGraph)
         clone.input_shape = self.input_shape
         clone.num_classes = self.num_classes
@@ -362,7 +349,7 @@ def _pack_record(name, arr):
     return rec
 
 
-def load_weights(path, *, dtype=np.float32):
+def load_weights(path):
     """Rebuild a ModelGraph from a weight file.
 
     Validates magic, version, record bounds and the trailing CRC before
@@ -389,7 +376,7 @@ def load_weights(path, *, dtype=np.float32):
         records.append((name, arr))
     if off != len(blob) - 4:
         raise FormatError(f"trailing bytes after record {count} at byte {off}")
-    return _rebuild_model(dict(records), [n for n, _ in records], dtype)
+    return _rebuild_model(dict(records), [n for n, _ in records])
 
 
 def _unpack_record(blob, off):
@@ -419,7 +406,7 @@ def _unpack_record(blob, off):
     return name, arr, off
 
 
-def _rebuild_model(by_name, order, dtype):
+def _rebuild_model(by_name, order):
     """Reconstruct the conv-blocks + GAP + dense family from named records."""
     if _META_INPUT_HW not in by_name:
         raise FormatError(f"missing {_META_INPUT_HW} record")
@@ -446,9 +433,9 @@ def _rebuild_model(by_name, order, dtype):
             raise FormatError(f"shape-manifest mismatch: {cname}.bias does not match {cname}.weight")
         if in_ch is None:
             in_ch = w.shape[1]
-        conv = Conv2d(w.shape[1], w.shape[0], kernel=w.shape[2], dtype=dtype)
-        conv.weight.data = w.astype(dtype)
-        conv.bias.data = b.astype(dtype)
+        conv = Conv2d(w.shape[1], w.shape[0], kernel=w.shape[2])
+        conv.weight.data = w.astype(np.float32)
+        conv.bias.data = b.astype(np.float32)
         layers += [conv, Relu(), MaxPool2d()]
     layers.append(GlobalAvgPool())
 
@@ -458,9 +445,9 @@ def _rebuild_model(by_name, order, dtype):
         raise FormatError(f"shape-manifest mismatch: dense.weight has rank {dw.ndim}, expected 2")
     if db is None or db.shape != (dw.shape[1],):
         raise FormatError("shape-manifest mismatch: dense.bias does not match dense.weight")
-    dense = Dense(dw.shape[0], dw.shape[1], dtype=dtype)
-    dense.weight.data = dw.astype(dtype)
-    dense.bias.data = db.astype(dtype)
+    dense = Dense(dw.shape[0], dw.shape[1])
+    dense.weight.data = dw.astype(np.float32)
+    dense.bias.data = db.astype(np.float32)
     layers.append(dense)
 
     try:

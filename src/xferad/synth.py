@@ -87,8 +87,8 @@ def make_digit_set(per_class, seed, classes=tuple(range(10))):
     return LabeledImageSet(images[order], labels[order], [str(c) for c in range(n_classes)])
 
 
-def write_digit_idx(images_path, labels_path, per_class, seed, classes=tuple(range(10))):
-    """Generate a digit set and serialize it as an IDX file pair."""
-    ds = make_digit_set(per_class, seed, classes)
+def write_digit_idx(images_path, labels_path, per_class, seed):
+    """Generate a ten-digit set and serialize it as an IDX file pair."""
+    ds = make_digit_set(per_class, seed)
     write_idx(ds.images, ds.labels, images_path, labels_path)
     return ds

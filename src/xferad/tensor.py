@@ -26,11 +26,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_DTYPES:
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
@@ -75,9 +73,6 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-
-    def __len__(self):
-        return len(self.nodes)
 
 
 def _emit(out_data, inputs, backward_fn, tape):

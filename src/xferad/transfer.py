@@ -19,7 +19,7 @@ from . import nn
 from . import tensor as T
 from .data import batch_iter
 from .errors import CapacityError, ContractError
-from .evaluate import ScoredSet, anomaly_scores, auc_trapezoid
+from .evaluate import INFER_BATCH, ScoredSet, anomaly_scores, auc_trapezoid
 
 STRATEGY_FIXED = "fixed_extractor"
 STRATEGY_FINE_TUNE = "fine_tune"
@@ -30,6 +30,10 @@ SELECT_LAST_EPOCH = "last_epoch"
 # pretraining default is deliberately higher than the transfer default
 # (1e-3), keeping fine-tuning slower-moving than normal training
 PRETRAIN_LR = 1e-2
+
+# the optimizer settings of every run; only the learning rate is settable
+SGD_DECAY = 1e-6
+SGD_MOMENTUM = 0.9
 
 
 @dataclass
@@ -50,14 +54,11 @@ class FreezePolicy:
 
 @dataclass
 class TransferConfig:
-    """Strategy, freeze depth, optimizer and loop settings for one run."""
+    """Strategy, freeze depth, learning rate and loop settings for one run."""
 
     strategy: str = STRATEGY_FINE_TUNE
     freeze: FreezePolicy = field(default_factory=FreezePolicy)
     lr0: float = 1e-3
-    decay: float = 1e-6
-    momentum: float = 0.9
-    nesterov: bool = True
     batch_size: int = 16
     epochs: int = 50
     seed: int = 0
@@ -75,7 +76,7 @@ class TransferConfig:
             raise ContractError("epochs must be >= 0 and batch_size >= 1")
 
     def make_sgd(self):
-        return nn.SgdState(self.lr0, self.decay, self.momentum, self.nesterov)
+        return nn.SgdState(self.lr0, SGD_DECAY, SGD_MOMENTUM, nesterov=True)
 
 
 @dataclass
@@ -215,8 +216,8 @@ def _frozen_prefix_length(model):
     return len(model.layers) - 1
 
 
-def _prefix_activations(model, k, x, batch_size=64):
-    """Output of model.layers[:k] on x, tape-free, in chunks of batch_size.
+def _prefix_activations(model, k, x):
+    """Output of model.layers[:k] on x, tape-free, in chunks of INFER_BATCH.
 
     Every layer of the family maps each sample on its own (conv is one
     matmul per sample of the stacked batch), so the activations are
@@ -225,8 +226,8 @@ def _prefix_activations(model, k, x, batch_size=64):
     if k == 0:
         return x
     out = None
-    for start in range(0, len(x), batch_size):
-        a = model.forward(T.Tensor(x[start:start + batch_size]), upto=k).data
+    for start in range(0, len(x), INFER_BATCH):
+        a = model.forward(T.Tensor(x[start:start + INFER_BATCH]), upto=k).data
         if out is None:
             out = np.empty((len(x),) + a.shape[1:], dtype=a.dtype)
         out[start:start + len(a)] = a
@@ -242,20 +243,18 @@ def train_target(model, task, config):
     The frozen prefix runs once per sample: training and validation run
     only the trainable suffix, on cached prefix activations.
     """
+    k = _frozen_prefix_length(model)
     if model.num_classes != 2:
         raise ContractError(f"target model must have 2 outputs, got {model.num_classes}")
     x_norm = np.asarray(task.train_normal, dtype=np.float32)
     x_anom = np.asarray(task.train_anomalous, dtype=np.float32)
     if len(x_norm) == 0 or len(x_anom) == 0 or len(task.test_normal) == 0 or len(task.test_anomalous) == 0:
         raise CapacityError("task splits must be non-empty")
-    if config.strategy == STRATEGY_FIXED:
-        expected = len(model.parameterized_layers()) - 1
-        frozen = sum(not l.trainable for l in model.parameterized_layers())
-        if frozen != expected:
-            raise ContractError(
-                "fixed_extractor strategy requires every layer except the head frozen "
-                f"({frozen} of {expected} frozen)"
-            )
+    if config.strategy == STRATEGY_FIXED and k != len(model.layers) - 1:
+        raise ContractError(
+            "fixed_extractor strategy requires every layer except the head frozen "
+            f"(the frozen prefix holds {k} of the {len(model.layers) - 1} layers before the head)"
+        )
 
     val_n_idx, val_a_idx = _stratified_val_split(
         len(x_norm), len(x_anom), config.val_fraction, config.seed
@@ -278,7 +277,6 @@ def train_target(model, task, config):
 
     trained = model.copy()
     best = {"auc": -1.0, "model": trained.copy()}
-    k = _frozen_prefix_length(trained)
     net = trained.suffix(k)
     a_train = _prefix_activations(trained, k, x_train)
     a_val = _prefix_activations(trained, k, x_val)

@@ -213,6 +213,10 @@ MALFORMED_NUMERIC_FLAGS = [
     ("make-task", ["--train-per-class", "-1"]),
     ("pretrain", ["--classes", "0,0"]),
     ("pretrain", ["--lr", "nan"]),
+    ("pretrain", ["--lr", "-1"]),
+    ("benchmark", ["--lr", "0"]),
+    ("benchmark", ["--freeze-depth", "-1"]),
+    ("make-task", ["--anomaly-class", "-1"]),
 ]
 
 
@@ -345,13 +349,9 @@ def test_malformed_task_file_exits_format(corpus, source_weights, task_file, tmp
     assert main([command, *dataset_flags(corpus), "--task", str(bad), *extra]) == EXIT_FORMAT
 
 
-@pytest.mark.parametrize("command", ["transfer", "evaluate", "validate-task"])
-def test_task_with_test_split_repeating_train_exits_consistency(corpus, source_weights,
-                                                                task_file, tmp_path, command):
-    doc = json.load(open(task_file))
-    n = len(doc["indices"]["test_normal"])
-    doc["indices"]["test_normal"] = doc["indices"]["train_normal"][:n]
-    bad = tmp_path / "leaky_task.json"
+def assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path):
+    """Run command on the task doc; it must exit 5 and write nothing."""
+    bad = tmp_path / "bad_task.json"
     bad.write_text(json.dumps(doc))
     detector = str(tmp_path / "detector.xfaw")
     nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
@@ -363,3 +363,21 @@ def test_task_with_test_split_repeating_train_exits_consistency(corpus, source_w
     }[command]
     assert main([command, *dataset_flags(corpus), "--task", str(bad), *extra]) == EXIT_CONSISTENCY
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transfer", "evaluate", "validate-task"])
+def test_task_with_test_split_repeating_train_exits_consistency(corpus, source_weights,
+                                                                task_file, tmp_path, command):
+    doc = json.load(open(task_file))
+    n = len(doc["indices"]["test_normal"])
+    doc["indices"]["test_normal"] = doc["indices"]["train_normal"][:n]
+    assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["transfer", "evaluate", "validate-task"])
+def test_task_with_empty_test_splits_exits_consistency(corpus, source_weights, task_file,
+                                                       tmp_path, command):
+    doc = json.load(open(task_file))
+    doc["indices"]["test_normal"] = []
+    doc["indices"]["test_anomalous"] = []
+    assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path)

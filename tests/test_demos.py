@@ -1,4 +1,4 @@
-"""Smoke test: the fast demos run to completion against the sources in src/."""
+"""Smoke test: every demo runs to completion against the sources in src/."""
 
 import os
 import subprocess
@@ -10,8 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_autodiff_basics.py", "03_data_and_tasks.py",
-                                  "04_transfer_pipeline.py", "05_roc_reports.py"])
+@pytest.mark.parametrize("demo", ["01_autodiff_basics.py", "02_train_small_convnet.py",
+                                  "03_data_and_tasks.py", "04_transfer_pipeline.py",
+                                  "05_roc_reports.py"])
 def test_demo_exits_zero(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,

@@ -218,6 +218,15 @@ def test_frozen_layer_untouched_after_training():
     assert np.array_equal(m.layers[0].bias.data, frozen_b)
 
 
+def test_trainable_is_read_from_requires_grad():
+    m = small_model()
+    m.layers[0].weight.requires_grad = False
+    m.layers[0].bias.requires_grad = False
+    assert m.layers[0].trainable is False
+    assert m.copy().layers[0].trainable is False
+    assert m.layers[1].kind == "relu" and m.layers[1].trainable is True
+
+
 def test_loss_strictly_decreases_over_20_fullbatch_steps():
     m = small_model(11)
     rng = np.random.default_rng(6)
