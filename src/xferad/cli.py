@@ -11,7 +11,6 @@ otherwise the raised error's XferadError.exit_code, or 1 for OSError.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -122,19 +121,13 @@ def _select_source_classes(ds, class_list, per_class, seed):
     """Filter to the requested classes, remap labels to 0..K-1, cap per class."""
     rng = np.random.default_rng([seed, 3])
     keep = []
-    for new_label, cls in enumerate(class_list):
+    for cls in class_list:
         idx = np.flatnonzero(ds.labels == cls)
         if len(idx) < per_class:
             raise CapacityError(f"class {cls} has {len(idx)} samples, need {per_class}")
-        sel = np.sort(rng.permutation(idx)[:per_class])
-        keep.append((sel, new_label))
-    images, labels = [], []
-    imgs = ds.images
-    for sel, new_label in keep:
-        for i in sel:
-            images.append(imgs[i])
-        labels += [new_label] * len(sel)
-    return images, np.asarray(labels, dtype=np.int64)
+        keep.append(np.sort(rng.permutation(idx)[:per_class]))
+    labels = np.repeat(np.arange(len(class_list), dtype=np.int64), per_class)
+    return data.gather(ds.images, np.concatenate(keep)), labels
 
 
 def cmd_pretrain(args):
@@ -166,12 +159,12 @@ def cmd_pretrain(args):
     return 0
 
 
-def _write_task(path, task, input_files):
+def _write_task(path, anomaly_class, seed, indices, input_files):
     doc = {
-        "anomaly_class": task.anomaly_class,
-        "seed": task.seed,
+        "anomaly_class": anomaly_class,
+        "seed": seed,
         "inputs": {p: _sha256(p) for p in input_files},
-        "indices": {k: v.tolist() for k, v in task.source_indices.items()},
+        "indices": {k: v.tolist() for k, v in indices.items()},
     }
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
@@ -237,10 +230,10 @@ def _check_task_invariants(path, labels, idx, anomaly_class):
 
 def cmd_make_task(args):
     ds, input_files = _load_dataset(args)
-    task = data.build_anomaly_task(
-        ds, args.anomaly_class, args.train_per_class, args.test_per_class, args.seed
+    indices = data.anomaly_task_indices(
+        ds.labels, args.anomaly_class, args.train_per_class, args.test_per_class, args.seed
     )
-    _write_task(args.out, task, input_files)
+    _write_task(args.out, args.anomaly_class, args.seed, indices, input_files)
     _write_manifest(
         args.out + ".manifest.json", "make-task",
         {**_dataset_params(args), "anomaly_class": args.anomaly_class,
@@ -261,11 +254,13 @@ def cmd_validate_task(args):
     return 0
 
 
-def _fit_detector(args, source, task, seed, model_selection):
-    """Put a fresh 2-neuron head on source, freeze per --strategy and
-    --freeze-depth, and train it on the task's train splits.
+def _detector(args, source, seed, model_selection):
+    """Put a fresh 2-neuron head on source and freeze it per --strategy
+    and --freeze-depth.
 
-    Returns (trained, record, strategy, freeze depth).
+    Returns (model, the TransferConfig that trains it, freeze depth).
+    Every detector of one source has the same frozen prefix, bit for bit:
+    replace_head copies the layers and apply_freeze only flips flags.
     """
     fixed = transfer.FreezePolicy.fixed_extractor(source)
     if args.strategy == "fixed":
@@ -279,30 +274,25 @@ def _fit_detector(args, source, task, seed, model_selection):
         depth = fixed.frozen_layer_count - 1 if args.freeze_depth is None else args.freeze_depth
         strategy, policy = transfer.STRATEGY_FINE_TUNE, transfer.FreezePolicy(depth)
     model = transfer.apply_freeze(transfer.replace_head(source, 2, seed), policy)
-    hw = source.input_shape[1:]
-    task = dataclasses.replace(
-        task, train_normal=data.preprocess_split(task.train_normal, hw),
-        train_anomalous=data.preprocess_split(task.train_anomalous, hw),
-    )
     config = transfer.TransferConfig(
         strategy=strategy, freeze=policy, lr0=args.lr, epochs=args.epochs, seed=seed,
         batch_size=args.batch_size, model_selection=model_selection,
     )
-    trained, record = transfer.train_target(model, task, config)
-    return trained, record, strategy, policy.frozen_layer_count
+    return model, config, policy.frozen_layer_count
 
 
-def _checked_report(model, task, threshold):
-    """Score the task's test splits (normal 0, anomalous 1) and report at
-    threshold; ConsistencyError unless the pairwise oracle agrees on the AUC.
+def _checked_report(net, normal, anomalous, threshold):
+    """Score normal (label 0) then anomalous (label 1) samples through net
+    and report at threshold; ConsistencyError unless the pairwise oracle
+    agrees on the AUC.
 
-    Returns (scored, report).
+    net is the graph the samples enter: a model on preprocessed images,
+    or a detector's suffix(k) on the activations entering its layer k.
+    The two splits are scored as one sequence, so net sees the same
+    batches either way. Returns (scored, report).
     """
-    hw = model.input_shape[1:]
-    normal = data.preprocess_split(task.test_normal, hw)
-    anomalous = data.preprocess_split(task.test_anomalous, hw)
     labels = [LABEL_NORMAL] * len(normal) + [LABEL_ANOMALOUS] * len(anomalous)
-    scored = ScoredSet(anomaly_scores(model, np.concatenate([normal, anomalous])), labels)
+    scored = ScoredSet(anomaly_scores(net, np.concatenate([normal, anomalous])), labels)
     report = evaluate_scores(scored, threshold)
     oracle = auc_pairwise_oracle(scored)
     if abs(report.auc - oracle) > AUC_AGREEMENT_TOL:
@@ -316,9 +306,8 @@ def cmd_transfer(args):
     ds, input_files = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
     task = _resolve_task(args.task, ds, input_files)
-    trained, record, strategy, depth = _fit_detector(
-        args, source, task, args.seed, args.model_selection
-    )
+    model, config, depth = _detector(args, source, args.seed, args.model_selection)
+    trained, record = transfer.train_target(model, task, config)
     nn.save_weights(trained, args.out)
     record_path = args.out + ".record.csv"
     record.to_csv(record_path)
@@ -333,7 +322,7 @@ def cmd_transfer(args):
     )
     sel = record.selected_epoch
     val = record.epochs[sel].val_auc if record.epochs else None
-    print(f"transfer ({strategy}, freeze depth {depth}): "
+    print(f"transfer ({config.strategy}, freeze depth {depth}): "
           f"selected epoch {sel}" + (f", val AUC {val:.4f}" if val is not None else "")
           + f"; weights -> {args.out}")
     return 0
@@ -343,7 +332,11 @@ def cmd_evaluate(args):
     ds, input_files = _load_dataset(args)
     model = nn.load_weights(args.weights)
     task = _resolve_task(args.task, ds, input_files)
-    scored, report = _checked_report(model, task, args.threshold)
+    hw = model.input_shape[1:]
+    scored, report = _checked_report(
+        model, data.preprocess_split(task.test_normal, hw),
+        data.preprocess_split(task.test_anomalous, hw), args.threshold,
+    )
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.json")
@@ -379,24 +372,41 @@ def cmd_benchmark(args):
     source = nn.load_weights(args.source_weights)
     os.makedirs(args.out_dir, exist_ok=True)
 
+    classes = range(len(ds.class_names))
+    tasks = [
+        data.anomaly_task_indices(
+            ds.labels, cls, args.train_per_class, args.test_per_class, args.seed
+        )
+        for cls in classes
+    ]
+    # every detector shares source's frozen prefix (see _detector), so each
+    # sample that a task uses runs through preprocessing and that prefix once
+    used = np.unique(np.concatenate([ix for idx in tasks for ix in idx.values()]))
+    frozen, _, _ = _detector(args, source, args.seed, transfer.SELECT_BEST_VAL_AUC)
+    k = transfer.frozen_prefix_length(frozen)
+    cache = transfer.prefix_features(frozen, k, ds.images, used)
+
+    def features(ix):
+        return cache[np.searchsorted(used, ix)]
+
     rows = []
     outputs = []
-    for cls in range(len(ds.class_names)):
-        task = data.build_anomaly_task(
-            ds, cls, args.train_per_class, args.test_per_class, args.seed
-        )
+    for cls, idx in zip(classes, tasks):
         task_path = os.path.join(args.out_dir, f"task_{cls}.json")
-        _write_task(task_path, task, input_files)
+        _write_task(task_path, cls, args.seed, idx, input_files)
 
-        trained, record, _, _ = _fit_detector(
-            args, source, task, args.seed + cls, transfer.SELECT_BEST_VAL_AUC
+        model, config, _ = _detector(args, source, args.seed + cls, transfer.SELECT_BEST_VAL_AUC)
+        trained, record = transfer.train_suffix(
+            model, k, features(idx["train_normal"]), features(idx["train_anomalous"]), config
         )
         weights_path = os.path.join(args.out_dir, f"weights_{cls}.xfaw")
         record_path = os.path.join(args.out_dir, f"record_{cls}.csv")
         nn.save_weights(trained, weights_path)
         record.to_csv(record_path)
 
-        _, report = _checked_report(trained, task, 0.5)
+        _, report = _checked_report(
+            trained.suffix(k), features(idx["test_normal"]), features(idx["test_anomalous"]), 0.5
+        )
         report_path = os.path.join(args.out_dir, f"report_{cls}.json")
         emit_report(report, report_path, "json")
 

@@ -241,14 +241,22 @@ def load_cifar10_batches(paths):
 
 
 def build_anomaly_task(image_set, anomaly_class, train_per_class, test_per_class, seed):
-    """One-vs-rest task: anomaly class vs. a pooled sample of the rest.
+    """One-vs-rest task: anomaly class vs. a pooled sample of the rest,
+    with the splits anomaly_task_indices draws."""
+    indices = anomaly_task_indices(
+        image_set.labels, anomaly_class, train_per_class, test_per_class, seed
+    )
+    return task_from_indices(image_set, indices, anomaly_class, seed)
+
+
+def anomaly_task_indices(labels, anomaly_class, train_per_class, test_per_class, seed):
+    """Sorted sample indices of each split of a one-vs-rest task.
 
     The normal split is drawn uniformly without replacement from the
     remaining classes pooled as a whole (not stratified, so rest-class
     proportions fluctuate hypergeometrically). Train and test are
     disjoint by source index; split sizes are exactly as requested.
     """
-    labels = image_set.labels
     need = train_per_class + test_per_class
     anom_idx = np.flatnonzero(labels == anomaly_class)
     rest_idx = np.flatnonzero(labels != anomaly_class)
@@ -265,28 +273,29 @@ def build_anomaly_task(image_set, anomaly_class, train_per_class, test_per_class
     anom_sel = rng.permutation(anom_idx)[:need]
     norm_sel = rng.choice(rest_idx, size=need, replace=False)
 
-    idx = {
+    return {
         "train_anomalous": np.sort(anom_sel[:train_per_class]),
         "test_anomalous": np.sort(anom_sel[train_per_class:]),
         "train_normal": np.sort(norm_sel[:train_per_class]),
         "test_normal": np.sort(norm_sel[train_per_class:]),
     }
-    return task_from_indices(image_set, idx, anomaly_class, seed)
+
+
+def gather(images, ix):
+    """images[ix] for a stacked array, else the list of images at ix."""
+    if isinstance(images, np.ndarray):
+        return images[ix]
+    return [images[i] for i in ix]
 
 
 def task_from_indices(image_set, indices, anomaly_class, seed):
     """Materialize an AnomalyTask from split membership indices."""
-    def gather(ix):
-        imgs = image_set.images
-        if isinstance(imgs, np.ndarray):
-            return imgs[ix]
-        return [imgs[i] for i in ix]
-
+    images = image_set.images
     return AnomalyTask(
-        train_normal=gather(indices["train_normal"]),
-        train_anomalous=gather(indices["train_anomalous"]),
-        test_normal=gather(indices["test_normal"]),
-        test_anomalous=gather(indices["test_anomalous"]),
+        train_normal=gather(images, indices["train_normal"]),
+        train_anomalous=gather(images, indices["train_anomalous"]),
+        test_normal=gather(images, indices["test_normal"]),
+        test_anomalous=gather(images, indices["test_anomalous"]),
         anomaly_class=int(anomaly_class),
         seed=int(seed),
         source_indices={k: np.asarray(v, dtype=np.int64) for k, v in indices.items()},
@@ -297,22 +306,58 @@ def task_from_indices(image_set, indices, anomaly_class, seed):
 # preprocessing
 
 
+# output pixels (per channel) resized per chunk: 256 images at 32x32. One
+# batch of 6,000 digits was slower per image than batches of 2,000, and the
+# float64 temporaries grow with the chunk.
+_CHUNK_PIXELS = 256 * 32 * 32
+
+
 def preprocess(image, target_hw):
     """Grayscale replication to 3 channels, then bilinear resize.
 
-    Channel replication happens before resizing; values stay in [0,1].
+    One [1|3,H,W] image through preprocess_split; values stay in [0,1].
     """
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[0] not in (1, 3):
-        raise ShapeError(f"preprocess expects [1|3,H,W] image, got {image.shape}")
-    if image.shape[0] == 1:
-        image = np.repeat(image, 3, axis=0)
-    return _bilinear_resize(image, int(target_hw[0]), int(target_hw[1]))
+    return preprocess_split([image], target_hw)[0]
+
+
+def preprocess_split(images, target_hw):
+    """Preprocess a sequence of [1|3,H,W] images into one stacked float32
+    [N,3,H,W] array: grayscale replicated to 3 channels, then bilinear
+    resized, values in [0,1].
+
+    Runs of consecutive same-shape images are resized together, in chunks
+    of at most _CHUNK_PIXELS output pixels per channel, so a list of mixed
+    shapes works. A grayscale chunk is resized once and broadcast to the 3
+    channels: each channel resizes on its own, so this gives the same
+    bytes as replicating before resizing.
+    """
+    out_h, out_w = int(target_hw[0]), int(target_hw[1])
+    out = np.empty((len(images), 3, out_h, out_w), dtype=np.float32)
+    limit = max(1, _CHUNK_PIXELS // (out_h * out_w))
+    start = 0
+    while start < len(images):
+        shape = np.shape(images[start])
+        stop = start + 1
+        while stop < len(images) and stop - start < limit and np.shape(images[stop]) == shape:
+            stop += 1
+        chunk = np.asarray(images[start:stop])
+        if chunk.ndim != 4 or chunk.shape[1] not in (1, 3):
+            raise ShapeError(f"preprocess expects [1|3,H,W] image, got {chunk.shape[1:]}")
+        out[start:stop] = _bilinear_resize(chunk, out_h, out_w)
+        start = stop
+    return out
 
 
 def _bilinear_resize(image, out_h, out_w):
-    """Half-pixel-centered bilinear resample of a [C,H,W] image."""
-    C, H, W = image.shape
+    """Half-pixel-centered bilinear resample of the last two axes of an
+    [..., H, W] array, clipped to [0,1], as float32.
+
+    Interpolates in x over every source row, then in y between rows y0
+    and y1 of that result: per output pixel, in float64,
+    top = a*(1-wx) + b*wx, likewise bot, out = top*(1-wy) + bot*wy. An
+    image already of the output size is only cast, not clipped.
+    """
+    H, W = image.shape[-2:]
     if (H, W) == (out_h, out_w):
         return image.astype(np.float32, copy=True)
     src = image.astype(np.float64)
@@ -323,18 +368,16 @@ def _bilinear_resize(image, out_h, out_w):
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, H - 1)
     x1 = np.minimum(x0 + 1, W - 1)
-    wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
+    wy = (ys - y0)[:, None]
+    wx = xs - x0
 
-    top = src[:, y0][:, :, x0] * (1.0 - wx) + src[:, y0][:, :, x1] * wx
-    bot = src[:, y1][:, :, x0] * (1.0 - wx) + src[:, y1][:, :, x1] * wx
-    out = top * (1.0 - wy) + bot * wy
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
-
-
-def preprocess_split(images, target_hw):
-    """Preprocess a sequence of images into one stacked [N,3,H,W] array."""
-    return np.stack([preprocess(img, target_hw) for img in images])
+    rows = src[..., x0]
+    rows *= 1.0 - wx
+    rows += src[..., x1] * wx
+    out = rows[..., y0, :]
+    out *= 1.0 - wy
+    out += rows[..., y1, :] * wy
+    return np.clip(out, 0.0, 1.0, out=out).astype(np.float32)
 
 
 def preprocess_task(task, target_hw):

@@ -291,7 +291,8 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
     cols, Ho, Wo = _im2col(xp, kh, kw, stride)
     wr = w.data.reshape(F, -1)
-    out = np.matmul(wr, cols).reshape(N, F, Ho, Wo) + b.data[None, :, None, None]
+    out = np.matmul(wr, cols).reshape(N, F, Ho, Wo)
+    out += b.data[None, :, None, None]
 
     def bwd(g):
         gr = g.reshape(N, F, Ho * Wo)

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import data, nn
 from . import tensor as T
-from .data import batch_iter
 from .errors import CapacityError, ContractError
 from .evaluate import INFER_BATCH, ScoredSet, anomaly_scores, auc_trapezoid
 
@@ -121,7 +120,7 @@ def _train_epochs(model, inputs, labels, config, evaluate_epoch=None, net=None):
     for epoch in range(config.epochs):
         total, seen = 0.0, 0
         lr_at_start = state.effective_lr()
-        for xb, yb in batch_iter(inputs, labels, config.batch_size, True, config.seed, epoch):
+        for xb, yb in data.batch_iter(inputs, labels, config.batch_size, True, config.seed, epoch):
             tape = T.Tape()
             logits = net.forward(T.Tensor(xb), tape)
             loss = T.softmax_cross_entropy(logits, yb, tape)
@@ -204,11 +203,11 @@ def _stratified_val_split(n_normal, n_anomalous, val_fraction, seed):
     return picks
 
 
-def _frozen_prefix_length(model):
+def frozen_prefix_length(model):
     """Index k of the first layer with trainable parameters.
 
     layers[:k] cannot change during training. When every layer is frozen
-    k is the head's index, so the head still runs in the training loop.
+    k is the head's index.
     """
     for i, layer in enumerate(model.layers):
         if layer.params() and layer.trainable:
@@ -216,60 +215,94 @@ def _frozen_prefix_length(model):
     return len(model.layers) - 1
 
 
-def _prefix_activations(model, k, x):
-    """Output of model.layers[:k] on x, tape-free, in chunks of INFER_BATCH.
+def prefix_features(model, k, images, index):
+    """Activations entering model.layers[k] for the raw images[index],
+    tape-free, in index order; index must be non-empty.
 
-    Every layer of the family maps each sample on its own (conv is one
-    matmul per sample of the stacked batch), so the activations are
-    bit-identical to those of any other batching. k == 0 returns x.
+    Each chunk of INFER_BATCH samples is gathered, preprocessed to the
+    model's input size and run through layers[:k] (k == 0 stops after
+    preprocessing), so the preprocessed images are never all held at
+    once. Every layer of the family maps each sample on its own (conv is
+    one matmul per sample of the stacked batch), so the activations are
+    bit-identical to those of any other batching.
     """
-    if k == 0:
-        return x
+    hw = model.input_shape[1:]
     out = None
-    for start in range(0, len(x), INFER_BATCH):
-        a = model.forward(T.Tensor(x[start:start + INFER_BATCH]), upto=k).data
+    for start in range(0, len(index), INFER_BATCH):
+        x = data.preprocess_split(data.gather(images, index[start:start + INFER_BATCH]), hw)
+        a = model.forward(T.Tensor(x), upto=k).data
         if out is None:
-            out = np.empty((len(x),) + a.shape[1:], dtype=a.dtype)
+            out = np.empty((len(index),) + a.shape[1:], dtype=a.dtype)
         out[start:start + len(a)] = a
     return out
+
+
+def _check_target(model, k, config):
+    """ContractError unless model is a 2-class target with a trainable
+    head, k is its frozen prefix length, and that prefix suits config's
+    strategy."""
+    head = len(model.layers) - 1
+    if model.num_classes != 2:
+        raise ContractError(f"target model must have 2 outputs, got {model.num_classes}")
+    if not model.layers[head].trainable:
+        raise ContractError(
+            f"the head (layer {head}, {model.layers[head].kind}) is frozen; "
+            "it must stay trainable"
+        )
+    prefix = frozen_prefix_length(model)
+    if k != prefix:
+        raise ContractError(f"features enter layer {k}, but the frozen prefix ends at layer {prefix}")
+    if config.strategy == STRATEGY_FIXED and k != head:
+        raise ContractError(
+            "fixed_extractor strategy requires every layer except the head frozen "
+            f"(the frozen prefix holds {k} of the {head} layers before the head)"
+        )
 
 
 def train_target(model, task, config):
     """Train the 2-class target model on an anomaly task.
 
-    Holds out a seeded stratified val_fraction of the training data for
-    per-epoch validation AUC, trains the rest with shuffled minibatches,
-    and returns the model of the selected epoch plus the TrainRecord.
-    The frozen prefix runs once per sample: training and validation run
-    only the trainable suffix, on cached prefix activations.
+    Runs the frozen prefix once per train sample (prefix_features, which
+    also preprocesses raw images) and fits the rest with train_suffix.
     """
-    k = _frozen_prefix_length(model)
-    if model.num_classes != 2:
-        raise ContractError(f"target model must have 2 outputs, got {model.num_classes}")
-    x_norm = np.asarray(task.train_normal, dtype=np.float32)
-    x_anom = np.asarray(task.train_anomalous, dtype=np.float32)
-    if len(x_norm) == 0 or len(x_anom) == 0 or len(task.test_normal) == 0 or len(task.test_anomalous) == 0:
+    k = frozen_prefix_length(model)
+    _check_target(model, k, config)
+    splits = (task.train_normal, task.train_anomalous, task.test_normal, task.test_anomalous)
+    if any(len(s) == 0 for s in splits):
         raise CapacityError("task splits must be non-empty")
-    if config.strategy == STRATEGY_FIXED and k != len(model.layers) - 1:
-        raise ContractError(
-            "fixed_extractor strategy requires every layer except the head frozen "
-            f"(the frozen prefix holds {k} of the {len(model.layers) - 1} layers before the head)"
-        )
+    normal, anomalous = (
+        prefix_features(model, k, s, np.arange(len(s))) for s in splits[:2]
+    )
+    return train_suffix(model, k, normal, anomalous, config)
+
+
+def train_suffix(model, k, normal, anomalous, config):
+    """Train the 2-class target model on the activations entering layer k
+    of its train splits, k being its frozen prefix length.
+
+    Holds out a seeded stratified val_fraction of the training data for
+    per-epoch validation AUC, trains model.suffix(k) with shuffled
+    minibatches, and returns the model of the selected epoch plus the
+    TrainRecord.
+    """
+    _check_target(model, k, config)
+    if len(normal) == 0 or len(anomalous) == 0:
+        raise CapacityError("task splits must be non-empty")
 
     val_n_idx, val_a_idx = _stratified_val_split(
-        len(x_norm), len(x_anom), config.val_fraction, config.seed
+        len(normal), len(anomalous), config.val_fraction, config.seed
     )
-    mask_n = np.zeros(len(x_norm), dtype=bool)
+    mask_n = np.zeros(len(normal), dtype=bool)
     mask_n[val_n_idx] = True
-    mask_a = np.zeros(len(x_anom), dtype=bool)
+    mask_a = np.zeros(len(anomalous), dtype=bool)
     mask_a[val_a_idx] = True
 
-    x_train = np.concatenate([x_norm[~mask_n], x_anom[~mask_a]])
+    a_train = np.concatenate([normal[~mask_n], anomalous[~mask_a]])
     y_train = np.concatenate([
         np.zeros(int((~mask_n).sum()), dtype=np.int64),
         np.ones(int((~mask_a).sum()), dtype=np.int64),
     ])
-    x_val = np.concatenate([x_norm[mask_n], x_anom[mask_a]])
+    a_val = np.concatenate([normal[mask_n], anomalous[mask_a]])
     y_val = np.concatenate([
         np.zeros(len(val_n_idx), dtype=np.int64),
         np.ones(len(val_a_idx), dtype=np.int64),
@@ -278,9 +311,6 @@ def train_target(model, task, config):
     trained = model.copy()
     best = {"auc": -1.0, "model": trained.copy()}
     net = trained.suffix(k)
-    a_train = _prefix_activations(trained, k, x_train)
-    a_val = _prefix_activations(trained, k, x_val)
-    del x_train, x_val  # training needs only the cache; free the input copies
 
     def evaluate_epoch():
         auc = auc_trapezoid(ScoredSet(anomaly_scores(net, a_val), y_val))

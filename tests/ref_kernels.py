@@ -1,10 +1,15 @@
-"""Exactness oracle: the bincount-scatter kernels that conv2d's input
-gradient and maxpool2d used before their strided slice-add versions.
+"""Exactness oracles: the kernels that faster versions in xferad must
+reproduce byte for byte.
 
-Plain numpy on raw arrays. Each function returns (out, bwd), where bwd(g)
-gives the gradients the op's backward must reproduce byte for byte:
-np.bincount sums the scattered weights in float64, in the order the flat
-indices are listed, starting from +0.0, then the result is cast to g's dtype.
+conv2d and maxpool2d are the bincount-scatter kernels that conv2d's input
+gradient and maxpool2d used before their strided slice-add versions.
+Plain numpy on raw arrays. Each returns (out, bwd), where bwd(g) gives the
+gradients the op's backward must reproduce: np.bincount sums the scattered
+weights in float64, in the order the flat indices are listed, starting from
++0.0, then the result is cast to g's dtype.
+
+preprocess and bilinear_resize are the per-image preprocessing that
+data.preprocess_split batched.
 """
 
 import numpy as np
@@ -73,3 +78,33 @@ def maxpool2d(x, window, stride):
         ).reshape(N, C, H, W).astype(g.dtype, copy=False)
 
     return np.ascontiguousarray(out), bwd
+
+
+def preprocess(image, target_hw):
+    """One [1|3,H,W] image: grayscale replicated to 3 channels, then resized."""
+    image = np.asarray(image)
+    if image.shape[0] == 1:
+        image = np.repeat(image, 3, axis=0)
+    return bilinear_resize(image, int(target_hw[0]), int(target_hw[1]))
+
+
+def bilinear_resize(image, out_h, out_w):
+    """Half-pixel-centered bilinear resample of a [C,H,W] image."""
+    C, H, W = image.shape
+    if (H, W) == (out_h, out_w):
+        return image.astype(np.float32, copy=True)
+    src = image.astype(np.float64)
+
+    ys = np.clip((np.arange(out_h) + 0.5) * (H / out_h) - 0.5, 0.0, H - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (W / out_w) - 0.5, 0.0, W - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, H - 1)
+    x1 = np.minimum(x0 + 1, W - 1)
+    wy = (ys - y0)[None, :, None]
+    wx = (xs - x0)[None, None, :]
+
+    top = src[:, y0][:, :, x0] * (1.0 - wx) + src[:, y0][:, :, x1] * wx
+    bot = src[:, y1][:, :, x0] * (1.0 - wx) + src[:, y1][:, :, x1] * wx
+    out = top * (1.0 - wy) + bot * wy
+    return np.clip(out, 0.0, 1.0).astype(np.float32)

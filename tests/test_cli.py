@@ -307,12 +307,18 @@ def test_benchmark_loops_over_the_dataset_classes(two_class_corpus, source_weigh
     assert [r[0] for r in rows] == ["class", "0", "1", "mean"]
 
 
-@pytest.mark.parametrize("strategy", ["fixed", "finetune"])
+# the benchmark's cache holds the activations entering layer k = 10, 6, 0, 3
+@pytest.mark.parametrize("freeze", [
+    pytest.param(["--strategy", "fixed"], id="fixed"),
+    pytest.param(["--strategy", "finetune"], id="finetune"),
+    pytest.param(["--strategy", "finetune", "--freeze-depth", "0"], id="finetune-depth0"),
+    pytest.param(["--strategy", "finetune", "--freeze-depth", "1"], id="finetune-depth1"),
+])
 def test_benchmark_equals_make_task_transfer_evaluate_per_class(two_class_corpus, source_weights,
-                                                                tmp_path, strategy):
+                                                                tmp_path, freeze):
     flags = dataset_flags(two_class_corpus)
     bench = tmp_path / "bench"
-    assert main(["benchmark", *flags, "--source-weights", source_weights, "--strategy", strategy,
+    assert main(["benchmark", *flags, "--source-weights", source_weights, *freeze,
                  "--train-per-class", "12", "--test-per-class", "6",
                  "--epochs", "2", "--seed", "9", "--out-dir", str(bench)]) == 0
     same = lambda a, b: open(a, "rb").read() == open(b, "rb").read()
@@ -320,7 +326,7 @@ def test_benchmark_equals_make_task_transfer_evaluate_per_class(two_class_corpus
         task, weights, ev = tmp_path / f"task{c}.json", tmp_path / f"w{c}.xfaw", tmp_path / f"e{c}"
         assert main(["make-task", *flags, "--anomaly-class", str(c), "--train-per-class", "12",
                      "--test-per-class", "6", "--seed", "9", "--out", str(task)]) == 0
-        assert main(["transfer", *flags, "--strategy", strategy, "--source-weights", source_weights,
+        assert main(["transfer", *flags, *freeze, "--source-weights", source_weights,
                      "--task", str(task), "--epochs", "2", "--seed", str(9 + c),
                      "--out", str(weights)]) == 0
         assert main(["evaluate", *flags, "--weights", str(weights), "--task", str(task),
@@ -329,6 +335,32 @@ def test_benchmark_equals_make_task_transfer_evaluate_per_class(two_class_corpus
         assert same(weights, bench / f"weights_{c}.xfaw")
         assert same(f"{weights}.record.csv", bench / f"record_{c}.csv")
         assert same(ev / "report.json", bench / f"report_{c}.json")
+
+
+def test_benchmark_preprocesses_each_used_sample_once(two_class_corpus, source_weights,
+                                                      tmp_path, monkeypatch):
+    ds = data.load_idx(two_class_corpus["images"], two_class_corpus["labels"])
+    position = {img.tobytes(): i for i, img in enumerate(ds.images)}
+    assert len(position) == len(ds)  # every sample is recognizable by its bytes
+    counts = np.zeros(len(ds), dtype=np.int64)
+    preprocess_split = data.preprocess_split
+
+    def counting(images, target_hw):
+        for img in images:
+            counts[position[np.asarray(img).tobytes()]] += 1
+        return preprocess_split(images, target_hw)
+
+    monkeypatch.setattr(data, "preprocess_split", counting)
+    bench = tmp_path / "bench"
+    assert main(["benchmark", *dataset_flags(two_class_corpus), "--source-weights",
+                 source_weights, "--train-per-class", "10", "--test-per-class", "5",
+                 "--epochs", "1", "--seed", "9", "--out-dir", str(bench)]) == 0
+    used = np.zeros(len(ds), dtype=bool)
+    for c in (0, 1):
+        for ix in json.load(open(bench / f"task_{c}.json"))["indices"].values():
+            used[ix] = True
+    assert 0 < used.sum() < len(ds)
+    assert np.array_equal(counts, used.astype(np.int64))
 
 
 @pytest.mark.parametrize("tamper", [

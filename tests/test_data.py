@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from xferad import data, evaluate
-from xferad.errors import CapacityError, FormatError
+from xferad.errors import CapacityError, FormatError, ShapeError
 
+import ref_kernels
 from taskstats import hypergeom_mean_sigma
 
 
@@ -359,6 +360,62 @@ def test_bilinear_upscale_of_mnist_like_sizes():
     img = rng.random((1, 28, 28))
     out = data._bilinear_resize(img, 32, 32)
     assert np.allclose(out, ref_bilinear(img, 32, 32), atol=1e-6)
+
+
+# byte-exactness of the batched preprocessing against the per-image oracle
+# (tests/ref_kernels.py)
+
+
+def assert_preprocess_matches_oracle(images, hw):
+    got = data.preprocess_split(images, hw)
+    want = np.stack([ref_kernels.preprocess(img, hw) for img in images])
+    assert got.dtype == want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+def oracle_images(kind, n, channels, h, w, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random((n, channels, h, w), dtype=np.float32)
+    if kind == "integer":
+        return rng.integers(0, 256, (n, channels, h, w)).astype(np.float32) / 255.0
+    return np.full((n, channels, h, w), 0.37, np.float32)
+
+
+@pytest.mark.parametrize("hw", [(32, 32), (16, 16), (37, 23), (19, 27)], ids=str)
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("kind", ["random", "integer", "constant"])
+def test_preprocess_split_bytes_equal_per_image_oracle(kind, channels, hw):
+    assert_preprocess_matches_oracle(oracle_images(kind, 40, channels, 19, 27, seed=6), hw)
+
+
+def test_preprocess_split_bytes_across_chunk_boundaries():
+    limit = data._CHUNK_PIXELS // (32 * 32)
+    images = oracle_images("integer", 2 * limit + 7, 1, 28, 28, seed=7)
+    assert_preprocess_matches_oracle(images, (32, 32))
+
+
+def test_preprocess_split_of_a_ragged_list():
+    rng = np.random.default_rng(8)
+    shapes = [(1, 28, 28), (1, 28, 28), (3, 32, 32), (1, 9, 11), (1, 28, 28), (3, 12, 40)]
+    images = [rng.random(s, dtype=np.float32) for s in shapes]
+    assert_preprocess_matches_oracle(images, (16, 16))
+    assert np.array_equal(data.preprocess(images[3], (16, 16)),
+                          data.preprocess_split(images, (16, 16))[3])
+
+
+def test_preprocess_split_rejects_a_bad_image_in_a_list():
+    images = [np.zeros((1, 8, 8), np.float32), np.zeros((2, 8, 8), np.float32)]
+    with pytest.raises(ShapeError, match=r"\(2, 8, 8\)"):
+        data.preprocess_split(images, (4, 4))
+
+
+def test_glyph_resize_of_a_single_channel_matches_oracle():
+    glyph = np.random.default_rng(9).random((1, 7, 5))
+    for h, w in [(14, 10), (22, 16), (7, 5)]:
+        got = data._bilinear_resize(glyph, h, w)
+        want = ref_kernels.bilinear_resize(glyph, h, w)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,35 @@ def test_fixed_strategy_requires_full_freeze():
         transfer.train_target(m, blob_task(), config)
 
 
+@pytest.mark.parametrize("epochs", [0, 1])
+@pytest.mark.parametrize("strategy,depth", [(transfer.STRATEGY_FIXED, 3),
+                                            (transfer.STRATEGY_FINE_TUNE, 2)])
+def test_train_target_rejects_a_frozen_head_before_any_work(monkeypatch, strategy, depth,
+                                                            epochs):
+    policy = transfer.FreezePolicy(depth)
+    m = transfer.apply_freeze(transfer.replace_head(small_source(), 2, seed=0), policy)
+    for layer in m.parameterized_layers():
+        layer.trainable = False
+    config = transfer.TransferConfig(strategy=strategy, freeze=policy, epochs=epochs, seed=0)
+
+    def no_work(*args):
+        raise AssertionError("prefix features computed before the checks")
+
+    monkeypatch.setattr(transfer, "prefix_features", no_work)
+    with pytest.raises(ContractError, match=r"head \(layer 10, dense\) is frozen"):
+        transfer.train_target(m, blob_task(), config)
+
+
+def test_train_suffix_rejects_features_of_another_layer():
+    policy = transfer.FreezePolicy(2)
+    m = transfer.apply_freeze(transfer.replace_head(small_source(), 2, seed=0), policy)
+    task = blob_task()
+    a = transfer.prefix_features(m, 3, task.train_normal, np.arange(len(task.train_normal)))
+    config = transfer.TransferConfig(freeze=policy, epochs=1, seed=0)
+    with pytest.raises(ContractError, match="frozen prefix ends at layer 6"):
+        transfer.train_suffix(m, 3, a, a, config)
+
+
 # ---------------------------------------------------------------------------
 # training behaviour
 
@@ -362,7 +391,7 @@ def reference_train_target(model, task, config):
 def test_prefix_activations_independent_of_batching(k):
     model = transfer.replace_head(small_source(seed=17, hw=32), 2, seed=17)
     x = np.random.default_rng(18).random((70, 3, 32, 32), dtype=np.float32)
-    chunked = transfer._prefix_activations(model, k, x)
+    chunked = transfer.prefix_features(model, k, x, np.arange(len(x)))
 
     shuffled = np.empty_like(chunked)
     order = np.random.default_rng(19).permutation(len(x))
