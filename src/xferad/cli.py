@@ -254,14 +254,8 @@ def cmd_validate_task(args):
     return 0
 
 
-def _detector(args, source, seed, model_selection):
-    """Put a fresh 2-neuron head on source and freeze it per --strategy
-    and --freeze-depth.
-
-    Returns (model, the TransferConfig that trains it, freeze depth).
-    Every detector of one source has the same frozen prefix, bit for bit:
-    replace_head copies the layers and apply_freeze only flips flags.
-    """
+def _freeze_policy(args, source):
+    """(strategy, FreezePolicy) that --strategy and --freeze-depth set."""
     fixed = transfer.FreezePolicy.fixed_extractor(source)
     if args.strategy == "fixed":
         if args.freeze_depth not in (None, fixed.frozen_layer_count):
@@ -273,6 +267,17 @@ def _detector(args, source, seed, model_selection):
     else:
         depth = fixed.frozen_layer_count - 1 if args.freeze_depth is None else args.freeze_depth
         strategy, policy = transfer.STRATEGY_FINE_TUNE, transfer.FreezePolicy(depth)
+    return strategy, policy
+
+
+def _detector(args, source, seed, model_selection):
+    """Put a fresh 2-neuron head on source and freeze it per _freeze_policy.
+
+    Returns (model, the TransferConfig that trains it, freeze depth).
+    Every detector of one source has source's frozen prefix, bit for bit:
+    replace_head copies the layers and apply_freeze only flips flags.
+    """
+    strategy, policy = _freeze_policy(args, source)
     model = transfer.apply_freeze(transfer.replace_head(source, 2, seed), policy)
     config = transfer.TransferConfig(
         strategy=strategy, freeze=policy, lr0=args.lr, epochs=args.epochs, seed=seed,
@@ -382,7 +387,7 @@ def cmd_benchmark(args):
     # every detector shares source's frozen prefix (see _detector), so each
     # sample that a task uses runs through preprocessing and that prefix once
     used = np.unique(np.concatenate([ix for idx in tasks for ix in idx.values()]))
-    frozen, _, _ = _detector(args, source, args.seed, transfer.SELECT_BEST_VAL_AUC)
+    frozen = transfer.apply_freeze(source, _freeze_policy(args, source)[1])
     k = transfer.frozen_prefix_length(frozen)
     cache = transfer.prefix_features(frozen, k, ds.images, used)
 
@@ -397,7 +402,7 @@ def cmd_benchmark(args):
 
         model, config, _ = _detector(args, source, args.seed + cls, transfer.SELECT_BEST_VAL_AUC)
         trained, record = transfer.train_suffix(
-            model, k, features(idx["train_normal"]), features(idx["train_anomalous"]), config
+            model, features(idx["train_normal"]), features(idx["train_anomalous"]), config
         )
         weights_path = os.path.join(args.out_dir, f"weights_{cls}.xfaw")
         record_path = os.path.join(args.out_dir, f"record_{cls}.csv")

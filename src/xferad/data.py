@@ -306,9 +306,10 @@ def task_from_indices(image_set, indices, anomaly_class, seed):
 # preprocessing
 
 
-# output pixels (per channel) resized per chunk: 256 images at 32x32. One
-# batch of 6,000 digits was slower per image than batches of 2,000, and the
-# float64 temporaries grow with the chunk.
+# pixels per channel resized per chunk, counting the input or the output
+# size, whichever is larger: 256 images at 32x32. One batch of 6,000 digits
+# was slower per image than batches of 2,000, and the float64 temporaries
+# grow with the chunk's input and output pixels.
 _CHUNK_PIXELS = 256 * 32 * 32
 
 
@@ -326,24 +327,23 @@ def preprocess_split(images, target_hw):
     resized, values in [0,1].
 
     Runs of consecutive same-shape images are resized together, in chunks
-    of at most _CHUNK_PIXELS output pixels per channel, so a list of mixed
-    shapes works. A grayscale chunk is resized once and broadcast to the 3
-    channels: each channel resizes on its own, so this gives the same
-    bytes as replicating before resizing.
+    of at most _CHUNK_PIXELS input or output pixels per channel, so a list
+    of mixed shapes works. A grayscale chunk is resized once and broadcast
+    to the 3 channels: each channel resizes on its own, so this gives the
+    same bytes as replicating before resizing.
     """
     out_h, out_w = int(target_hw[0]), int(target_hw[1])
     out = np.empty((len(images), 3, out_h, out_w), dtype=np.float32)
-    limit = max(1, _CHUNK_PIXELS // (out_h * out_w))
     start = 0
     while start < len(images):
         shape = np.shape(images[start])
+        if len(shape) != 3 or shape[0] not in (1, 3):
+            raise ShapeError(f"preprocess expects [1|3,H,W] image, got {shape}")
+        limit = max(1, _CHUNK_PIXELS // max(shape[1] * shape[2], out_h * out_w))
         stop = start + 1
         while stop < len(images) and stop - start < limit and np.shape(images[stop]) == shape:
             stop += 1
-        chunk = np.asarray(images[start:stop])
-        if chunk.ndim != 4 or chunk.shape[1] not in (1, 3):
-            raise ShapeError(f"preprocess expects [1|3,H,W] image, got {chunk.shape[1:]}")
-        out[start:stop] = _bilinear_resize(chunk, out_h, out_w)
+        out[start:stop] = _bilinear_resize(np.asarray(images[start:stop]), out_h, out_w)
         start = stop
     return out
 

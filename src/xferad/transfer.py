@@ -237,9 +237,9 @@ def prefix_features(model, k, images, index):
     return out
 
 
-def _check_target(model, k, config):
-    """ContractError unless model is a 2-class target with a trainable
-    head, k is its frozen prefix length, and that prefix suits config's
+def _check_target(model, config):
+    """Frozen prefix length k of model; ContractError unless model is a
+    2-class target with a trainable head whose prefix suits config's
     strategy."""
     head = len(model.layers) - 1
     if model.num_classes != 2:
@@ -249,46 +249,47 @@ def _check_target(model, k, config):
             f"the head (layer {head}, {model.layers[head].kind}) is frozen; "
             "it must stay trainable"
         )
-    prefix = frozen_prefix_length(model)
-    if k != prefix:
-        raise ContractError(f"features enter layer {k}, but the frozen prefix ends at layer {prefix}")
+    k = frozen_prefix_length(model)
     if config.strategy == STRATEGY_FIXED and k != head:
         raise ContractError(
             "fixed_extractor strategy requires every layer except the head frozen "
             f"(the frozen prefix holds {k} of the {head} layers before the head)"
         )
+    return k
 
 
 def train_target(model, task, config):
     """Train the 2-class target model on an anomaly task.
 
     Runs the frozen prefix once per train sample (prefix_features, which
-    also preprocesses raw images) and fits the rest with train_suffix.
+    also preprocesses raw images) and fits the rest as train_suffix does.
     """
-    k = frozen_prefix_length(model)
-    _check_target(model, k, config)
+    k = _check_target(model, config)
     splits = (task.train_normal, task.train_anomalous, task.test_normal, task.test_anomalous)
     if any(len(s) == 0 for s in splits):
         raise CapacityError("task splits must be non-empty")
     normal, anomalous = (
         prefix_features(model, k, s, np.arange(len(s))) for s in splits[:2]
     )
-    return train_suffix(model, k, normal, anomalous, config)
+    return _fit_suffix(model, k, normal, anomalous, config)
 
 
-def train_suffix(model, k, normal, anomalous, config):
-    """Train the 2-class target model on the activations entering layer k
-    of its train splits, k being its frozen prefix length.
+def train_suffix(model, normal, anomalous, config):
+    """Train the 2-class target model on its train splits' activations
+    entering layer frozen_prefix_length(model) (see prefix_features).
 
     Holds out a seeded stratified val_fraction of the training data for
-    per-epoch validation AUC, trains model.suffix(k) with shuffled
-    minibatches, and returns the model of the selected epoch plus the
-    TrainRecord.
+    per-epoch validation AUC, trains the suffix with shuffled minibatches,
+    and returns the model of the selected epoch plus the TrainRecord.
     """
-    _check_target(model, k, config)
+    k = _check_target(model, config)
     if len(normal) == 0 or len(anomalous) == 0:
         raise CapacityError("task splits must be non-empty")
+    return _fit_suffix(model, k, normal, anomalous, config)
 
+
+def _fit_suffix(model, k, normal, anomalous, config):
+    """train_suffix on a checked model whose frozen prefix length is k."""
     val_n_idx, val_a_idx = _stratified_val_split(
         len(normal), len(anomalous), config.val_fraction, config.seed
     )

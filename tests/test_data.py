@@ -395,6 +395,19 @@ def test_preprocess_split_bytes_across_chunk_boundaries():
     assert_preprocess_matches_oracle(images, (32, 32))
 
 
+def test_preprocess_split_bounds_chunks_by_input_pixels(monkeypatch):
+    # inputs larger than the output: a chunk holds _CHUNK_PIXELS input pixels
+    limit = data._CHUNK_PIXELS // (64 * 64)
+    images = oracle_images("random", 2 * limit + 5, 3, 64, 64, seed=10)
+    assert_preprocess_matches_oracle(images, (16, 16))
+    sizes = []
+    resize = data._bilinear_resize
+    monkeypatch.setattr(data, "_bilinear_resize",
+                        lambda x, h, w: sizes.append(len(x)) or resize(x, h, w))
+    data.preprocess_split(images, (16, 16))
+    assert sizes == [limit, limit, 5]
+
+
 def test_preprocess_split_of_a_ragged_list():
     rng = np.random.default_rng(8)
     shapes = [(1, 28, 28), (1, 28, 28), (3, 32, 32), (1, 9, 11), (1, 28, 28), (3, 12, 40)]

@@ -174,16 +174,6 @@ def test_train_target_rejects_a_frozen_head_before_any_work(monkeypatch, strateg
         transfer.train_target(m, blob_task(), config)
 
 
-def test_train_suffix_rejects_features_of_another_layer():
-    policy = transfer.FreezePolicy(2)
-    m = transfer.apply_freeze(transfer.replace_head(small_source(), 2, seed=0), policy)
-    task = blob_task()
-    a = transfer.prefix_features(m, 3, task.train_normal, np.arange(len(task.train_normal)))
-    config = transfer.TransferConfig(freeze=policy, epochs=1, seed=0)
-    with pytest.raises(ContractError, match="frozen prefix ends at layer 6"):
-        transfer.train_suffix(m, 3, a, a, config)
-
-
 # ---------------------------------------------------------------------------
 # training behaviour
 
