@@ -55,6 +55,13 @@ def _write_manifest(path, command, params, inputs, outputs):
         f.write("\n")
 
 
+def _make_parent_dirs(*paths):
+    """Create each output file's directory before any work, so a path
+    that cannot be written fails first, not after the work is done."""
+    for path in paths:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # dataset flags shared by most commands
 
@@ -106,6 +113,7 @@ def _dataset_params(args):
 
 
 def cmd_make_synth(args):
+    _make_parent_dirs(args.out_images, args.out_labels)
     synth.write_digit_idx(args.out_images, args.out_labels, args.per_class, args.seed)
     _write_manifest(
         args.out_images + ".manifest.json", "make-synth",
@@ -131,6 +139,7 @@ def _select_source_classes(ds, class_list, per_class, seed):
 
 
 def cmd_pretrain(args):
+    _make_parent_dirs(args.out)
     ds, input_files = _load_dataset(args)
     class_list = args.classes
     images, labels = _select_source_classes(ds, class_list, args.per_class, args.seed)
@@ -229,6 +238,7 @@ def _check_task_invariants(path, labels, idx, anomaly_class):
 
 
 def cmd_make_task(args):
+    _make_parent_dirs(args.out)
     ds, input_files = _load_dataset(args)
     indices = data.anomaly_task_indices(
         ds.labels, args.anomaly_class, args.train_per_class, args.test_per_class, args.seed
@@ -308,6 +318,7 @@ def _checked_report(net, normal, anomalous, threshold):
 
 
 def cmd_transfer(args):
+    _make_parent_dirs(args.out)
     ds, input_files = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
     task = _resolve_task(args.task, ds, input_files)

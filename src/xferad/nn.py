@@ -326,8 +326,14 @@ def zero_grads(model):
 
 
 def save_weights(model, path):
-    """Write the model's parameters (f32) in the documented binary format."""
+    """Write the model's parameters (f32) in the documented binary format.
+
+    ContractError, and no file, if a parameter holds a NaN or infinity.
+    """
     records = list(model.named_parameters())
+    for name, p in records:
+        if not np.isfinite(p.data).all():
+            raise ContractError(f"parameter {name} holds a non-finite value; not saved")
     body = bytearray()
     body += WEIGHT_MAGIC
     body += struct.pack("<II", WEIGHT_VERSION, len(records) + 1)
@@ -353,7 +359,8 @@ def load_weights(path):
     """Rebuild a ModelGraph from a weight file.
 
     Validates magic, version, record bounds and the trailing CRC before
-    touching any values; a corrupt file never yields a partial model.
+    touching any values, then rejects a NaN or infinite value; a corrupt
+    file never yields a partial model.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -402,6 +409,8 @@ def _unpack_record(blob, off):
     if off + 4 * n > end:
         raise FormatError(f"weight file truncated at byte {off}: data of {name}")
     arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(extents)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"record {name} at byte {off} holds a non-finite value")
     off += 4 * n
     return name, arr, off
 

@@ -11,6 +11,7 @@ returned.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,14 +121,21 @@ def _train_epochs(model, inputs, labels, config, evaluate_epoch=None, net=None):
     for epoch in range(config.epochs):
         total, seen = 0.0, 0
         lr_at_start = state.effective_lr()
-        for xb, yb in data.batch_iter(inputs, labels, config.batch_size, True, config.seed, epoch):
+        batches = data.batch_iter(inputs, labels, config.batch_size, True, config.seed, epoch)
+        for step, (xb, yb) in enumerate(batches):
             tape = T.Tape()
             logits = net.forward(T.Tensor(xb), tape)
             loss = T.softmax_cross_entropy(logits, yb, tape)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise ContractError(
+                    f"training diverged: loss {value} at epoch {epoch}, step {step} "
+                    f"(learning rate {state.effective_lr()!r})"
+                )
             T.backward(loss, tape)
             nn.sgd_step(model, state)
             nn.zero_grads(model)
-            total += float(loss.data) * len(yb)
+            total += value * len(yb)
             seen += len(yb)
         val = evaluate_epoch() if evaluate_epoch is not None else None
         record.append(EpochStats(epoch, total / max(seen, 1), val, lr_at_start))
@@ -207,8 +215,17 @@ def frozen_prefix_length(model):
     """Index k of the first layer with trainable parameters.
 
     layers[:k] cannot change during training. When every layer is frozen
-    k is the head's index.
+    k is the head's index. ContractError if a layer has some parameters
+    frozen and others trainable: the prefix would hide its trainable ones.
     """
+    flags = {}
+    for name, p in model.named_parameters():
+        flags.setdefault(name.split(".")[0], set()).add(p.requires_grad)
+    for layer, f in flags.items():
+        if len(f) > 1:
+            raise ContractError(
+                f"layer {layer} is partly frozen; freeze all of its parameters or none"
+            )
     for i, layer in enumerate(model.layers):
         if layer.params() and layer.trainable:
             return i

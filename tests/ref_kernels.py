@@ -10,10 +10,16 @@ weights in float64, in the order the flat indices are listed, starting from
 
 preprocess and bilinear_resize are the per-image preprocessing that
 data.preprocess_split batched.
+
+shear, render and make_digit_set are the per-image synthetic digit
+renderer that synth.make_digit_set replaced with cached glyphs and a
+one-gather shear. make_digit_set returns raw (images, labels) arrays.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from xferad.synth import _GLYPHS, IMAGE_SIZE
 
 
 def _col_indices(C, Hp, Wp, kh, kw, stride, Ho, Wo):
@@ -108,3 +114,55 @@ def bilinear_resize(image, out_h, out_w):
     bot = src[:, y1][:, :, x0] * (1.0 - wx) + src[:, y1][:, :, x1] * wx
     out = top * (1.0 - wy) + bot * wy
     return np.clip(out, 0.0, 1.0).astype(np.float32)
+
+
+def shear(img, factor):
+    """Horizontal shear about the vertical center, linear interpolation."""
+    h, w = img.shape
+    out = np.zeros_like(img)
+    for r in range(h):
+        shift = factor * (r - h / 2.0)
+        lo = int(np.floor(shift))
+        frac = shift - lo
+        row = np.roll(img[r], lo) * (1.0 - frac) + np.roll(img[r], lo + 1) * frac
+        # roll wraps; blank out wrapped-in pixels
+        if lo > 0:
+            row[:lo] = 0.0
+        elif lo < -1:
+            row[lo + 1:] = 0.0
+        out[r] = row
+    return out
+
+
+def render(digit, rng):
+    """One [28,28] float32 image of digit, drawing its parameters from rng."""
+    glyph = np.array([[1.0 if ch == "#" else 0.0 for ch in row] for row in _GLYPHS[digit]])
+    h = int(rng.integers(14, 23))
+    w = max(6, int(round(h * 5.0 / 7.0)))
+    big = bilinear_resize(glyph[None], h, w)[0].astype(np.float64)
+    big = shear(big, float(rng.uniform(-0.15, 0.15)))
+    big *= float(rng.uniform(0.65, 1.0))
+
+    canvas = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
+    top = int(rng.integers(0, IMAGE_SIZE - h + 1))
+    left = int(rng.integers(0, IMAGE_SIZE - w + 1))
+    canvas[top:top + h, left:left + w] = big
+
+    canvas += rng.normal(0.0, float(rng.uniform(0.04, 0.10)), canvas.shape)
+    canvas += float(rng.uniform(0.0, 0.06))
+    return np.clip(canvas, 0.0, 1.0).astype(np.float32)
+
+
+def make_digit_set(per_class, seed, classes=tuple(range(10))):
+    """(images [N,1,28,28] float32, labels int64): per_class renders of
+    each requested digit, in shuffled order."""
+    rng = np.random.default_rng([seed, 777])
+    images, labels = [], []
+    for digit in classes:
+        for _ in range(per_class):
+            images.append(render(digit, rng)[None])
+            labels.append(digit)
+    images = np.stack(images)
+    labels = np.asarray(labels, dtype=np.int64)
+    order = rng.permutation(len(labels))
+    return images[order], labels[order]

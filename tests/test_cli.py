@@ -1,5 +1,7 @@
 import csv
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -192,6 +194,52 @@ def test_evaluate_corrupt_weights_exit_format(corpus, task_file, tmp_path):
     code = main(["evaluate", *dataset_flags(corpus), "--weights", str(bad),
                  "--task", task_file, "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_FORMAT
+
+
+def test_evaluate_nan_head_under_a_valid_crc_exits_format(corpus, source_weights, task_file,
+                                                          tmp_path):
+    detector = transfer.replace_head(nn.load_weights(source_weights), 2, seed=0)
+    path = tmp_path / "nan.xfaw"
+    nn.save_weights(detector, path)
+    blob = bytearray(path.read_bytes())
+    head = np.ascontiguousarray(detector.layers[-1].weight.data, "<f4").tobytes()
+    start = blob.find(head)
+    blob[start:start + len(head)] = np.full(len(head) // 4, np.nan, "<f4").tobytes()
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    assert main(["evaluate", *dataset_flags(corpus), "--weights", str(path),
+                 "--task", task_file, "--out-dir", str(out)]) == EXIT_FORMAT
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+def test_diverging_pretrain_exits_1_and_writes_nothing(corpus, tmp_path, capsys):
+    out = tmp_path / "source.xfaw"
+    assert main(["pretrain", *dataset_flags(corpus), "--classes", "0,1,2",
+                 "--per-class", "8", "--epochs", "3", "--lr", "1e6", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert "diverged" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["make-synth", "pretrain", "make-task", "transfer"])
+def test_command_creates_a_missing_output_directory(corpus, source_weights, task_file,
+                                                    tmp_path, command):
+    new = tmp_path / "a" / "b"
+    outputs = {
+        "make-synth": ["--per-class", "2", "--out-images", str(new / "images" / "i"),
+                       "--out-labels", str(new / "labels" / "l")],
+        "pretrain": [*dataset_flags(corpus), "--classes", "0,1", "--per-class", "4",
+                     "--epochs", "1", "--out", str(new / "s.xfaw")],
+        "make-task": [*dataset_flags(corpus), "--anomaly-class", "1", "--train-per-class", "4",
+                      "--test-per-class", "2", "--out", str(new / "t.json")],
+        "transfer": [*dataset_flags(corpus), "--source-weights", source_weights,
+                     "--task", task_file, "--epochs", "1", "--out", str(new / "w.xfaw")],
+    }
+    assert main([command, *outputs[command]]) == 0
+    written = [p for p in new.rglob("*") if p.is_file()]
+    assert written and all(p.stat().st_size for p in written)
 
 
 def test_usage_error_exits_2():

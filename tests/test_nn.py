@@ -345,6 +345,30 @@ def test_flipped_payload_byte_fails_crc(tmp_path):
         nn.load_weights(path)
 
 
+def test_save_weights_refuses_non_finite_parameters(tmp_path):
+    m = small_model()
+    m.layers[-1].bias.data[1] = np.inf
+    path = tmp_path / "model.xfaw"
+    with pytest.raises(ContractError, match="dense.bias"):
+        nn.save_weights(m, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_under_a_valid_crc_is_format_error(tmp_path, value):
+    m = small_model()
+    path = tmp_path / "model.xfaw"
+    nn.save_weights(m, path)
+    blob = bytearray(path.read_bytes())
+    w = m.layers[0].weight.data
+    start = blob.find(np.ascontiguousarray(w, "<f4").tobytes())
+    blob[start:start + 4] = np.array([value], "<f4").tobytes()
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="conv1.weight .*non-finite"):
+        nn.load_weights(path)
+
+
 def test_undecodable_record_name_is_format_error(tmp_path):
     path = tmp_path / "model.xfaw"
     nn.save_weights(small_model(), path)

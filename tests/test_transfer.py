@@ -174,6 +174,25 @@ def test_train_target_rejects_a_frozen_head_before_any_work(monkeypatch, strateg
         transfer.train_target(m, blob_task(), config)
 
 
+@pytest.mark.parametrize("fit", ["train_target", "train_suffix"])
+def test_partly_frozen_layer_rejected_before_any_work(monkeypatch, fit):
+    policy = transfer.FreezePolicy(2)
+    m = transfer.apply_freeze(transfer.replace_head(small_source(), 2, seed=0), policy)
+    dict(m.named_parameters())["conv3.bias"].requires_grad = False
+    config = transfer.TransferConfig(freeze=policy, epochs=1, seed=0)
+
+    def no_work(*args):
+        raise AssertionError("prefix features computed before the checks")
+
+    monkeypatch.setattr(transfer, "prefix_features", no_work)
+    task = blob_task()
+    with pytest.raises(ContractError, match="layer conv3 is partly frozen"):
+        if fit == "train_target":
+            transfer.train_target(m, task, config)
+        else:
+            transfer.train_suffix(m, task.train_normal, task.train_anomalous, config)
+
+
 # ---------------------------------------------------------------------------
 # training behaviour
 
