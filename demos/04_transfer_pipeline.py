@@ -27,13 +27,13 @@ print("2) building the digit-9-vs-rest target task...")
 task_ds = synth.make_digit_set(per_class=150, seed=20)
 task = data.build_anomaly_task(task_ds, anomaly_class=9, train_per_class=100,
                                test_per_class=40, seed=2)
-ptask = data.preprocess_task(task, SIZE)
+test_x = np.concatenate([data.preprocess_split(task.test_normal, SIZE),
+                         data.preprocess_split(task.test_anomalous, SIZE)])
 
 
 def test_auc(model):
-    xs = np.concatenate([ptask.test_normal, ptask.test_anomalous])
     ys = np.concatenate([np.zeros(40, np.int64), np.ones(40, np.int64)])
-    return auc_trapezoid(ScoredSet(anomaly_scores(model, xs), ys))
+    return auc_trapezoid(ScoredSet(anomaly_scores(model, test_x), ys))
 
 
 for label, strategy, depth, lr in [
@@ -47,7 +47,7 @@ for label, strategy, depth, lr in [
         strategy=strategy, freeze=transfer.FreezePolicy(depth),
         lr0=lr, epochs=8, seed=4,
     )
-    trained, record = transfer.train_target(model, ptask, cfg)
+    trained, record = transfer.train_target(model, task, cfg)
     sel = record.selected_epoch
     print(f"   selected epoch {sel} (val AUC {record.epochs[sel].val_auc:.4f}); "
           f"test AUC {test_auc(trained):.4f}")

@@ -183,7 +183,8 @@ def _write_task(path, anomaly_class, seed, indices, input_files):
 TASK_SPLITS = ("train_normal", "train_anomalous", "test_normal", "test_anomalous")
 
 
-def _resolve_task(path, ds, input_files):
+def _resolve_task(path, ds):
+    """The checked int64 sample indices into ds of each of TASK_SPLITS."""
     with open(path) as f:
         try:
             doc = json.load(f)
@@ -211,7 +212,7 @@ def _resolve_task(path, ds, input_files):
             raise FormatError(f"task file {path}: {k} index out of range for dataset of {n}")
     indices = {k: np.asarray(v, dtype=np.int64) for k, v in raw.items()}
     _check_task_invariants(path, ds.labels, indices, doc["anomaly_class"])
-    return data.task_from_indices(ds, indices, doc["anomaly_class"], doc["seed"])
+    return indices
 
 
 def _check_task_invariants(path, labels, idx, anomaly_class):
@@ -259,7 +260,7 @@ def cmd_make_task(args):
 
 def cmd_validate_task(args):
     ds, _ = _load_dataset(args)
-    _resolve_task(args.task, ds, [])
+    _resolve_task(args.task, ds)
     print(f"task {args.task} passes all invariant checks")
     return 0
 
@@ -296,6 +297,14 @@ def _detector(args, source, seed, model_selection):
     return model, config, policy.frozen_layer_count
 
 
+def _feature_lookup(model, k, images, splits):
+    """Map an index array drawn from splits to its activations entering
+    model.layers[k], running each sample of splits through layers[:k] once."""
+    used = np.unique(np.concatenate(splits))
+    cache = transfer.prefix_features(model, k, images, used)
+    return lambda ix: cache[np.searchsorted(used, ix)]
+
+
 def _checked_report(net, normal, anomalous, threshold):
     """Score normal (label 0) then anomalous (label 1) samples through net
     and report at threshold; ConsistencyError unless the pairwise oracle
@@ -321,9 +330,11 @@ def cmd_transfer(args):
     _make_parent_dirs(args.out)
     ds, input_files = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
-    task = _resolve_task(args.task, ds, input_files)
+    idx = _resolve_task(args.task, ds)
     model, config, depth = _detector(args, source, args.seed, args.model_selection)
-    trained, record = transfer.train_target(model, task, config)
+    train = [idx["train_normal"], idx["train_anomalous"]]
+    features = _feature_lookup(model, transfer.frozen_prefix_length(model), ds.images, train)
+    trained, record = transfer.train_suffix(model, *map(features, train), config)
     nn.save_weights(trained, args.out)
     record_path = args.out + ".record.csv"
     record.to_csv(record_path)
@@ -347,11 +358,10 @@ def cmd_transfer(args):
 def cmd_evaluate(args):
     ds, input_files = _load_dataset(args)
     model = nn.load_weights(args.weights)
-    task = _resolve_task(args.task, ds, input_files)
-    hw = model.input_shape[1:]
+    idx = _resolve_task(args.task, ds)
+    test = [data.gather(ds.images, idx[s]) for s in TASK_SPLITS[2:]]
     scored, report = _checked_report(
-        model, data.preprocess_split(task.test_normal, hw),
-        data.preprocess_split(task.test_anomalous, hw), args.threshold,
+        model, *(data.preprocess_split(x, model.input_shape[1:]) for x in test), args.threshold
     )
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -395,15 +405,11 @@ def cmd_benchmark(args):
         )
         for cls in classes
     ]
-    # every detector shares source's frozen prefix (see _detector), so each
-    # sample that a task uses runs through preprocessing and that prefix once
-    used = np.unique(np.concatenate([ix for idx in tasks for ix in idx.values()]))
+    # every detector shares source's frozen prefix (see _detector), so one
+    # lookup over all tasks serves them all
     frozen = transfer.apply_freeze(source, _freeze_policy(args, source)[1])
     k = transfer.frozen_prefix_length(frozen)
-    cache = transfer.prefix_features(frozen, k, ds.images, used)
-
-    def features(ix):
-        return cache[np.searchsorted(used, ix)]
+    features = _feature_lookup(frozen, k, ds.images, [ix for idx in tasks for ix in idx.values()])
 
     rows = []
     outputs = []

@@ -246,7 +246,15 @@ def build_anomaly_task(image_set, anomaly_class, train_per_class, test_per_class
     indices = anomaly_task_indices(
         image_set.labels, anomaly_class, train_per_class, test_per_class, seed
     )
-    return task_from_indices(image_set, indices, anomaly_class, seed)
+    return AnomalyTask(
+        train_normal=gather(image_set.images, indices["train_normal"]),
+        train_anomalous=gather(image_set.images, indices["train_anomalous"]),
+        test_normal=gather(image_set.images, indices["test_normal"]),
+        test_anomalous=gather(image_set.images, indices["test_anomalous"]),
+        anomaly_class=int(anomaly_class),
+        seed=int(seed),
+        source_indices=indices,
+    )
 
 
 def anomaly_task_indices(labels, anomaly_class, train_per_class, test_per_class, seed):
@@ -286,20 +294,6 @@ def gather(images, ix):
     if isinstance(images, np.ndarray):
         return images[ix]
     return [images[i] for i in ix]
-
-
-def task_from_indices(image_set, indices, anomaly_class, seed):
-    """Materialize an AnomalyTask from split membership indices."""
-    images = image_set.images
-    return AnomalyTask(
-        train_normal=gather(images, indices["train_normal"]),
-        train_anomalous=gather(images, indices["train_anomalous"]),
-        test_normal=gather(images, indices["test_normal"]),
-        test_anomalous=gather(images, indices["test_anomalous"]),
-        anomaly_class=int(anomaly_class),
-        seed=int(seed),
-        source_indices={k: np.asarray(v, dtype=np.int64) for k, v in indices.items()},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +372,6 @@ def _bilinear_resize(image, out_h, out_w):
     out *= 1.0 - wy
     out += rows[..., y1, :] * wy
     return np.clip(out, 0.0, 1.0, out=out).astype(np.float32)
-
-
-def preprocess_task(task, target_hw):
-    """New AnomalyTask whose splits are stacked preprocessed arrays."""
-    return AnomalyTask(
-        train_normal=preprocess_split(task.train_normal, target_hw),
-        train_anomalous=preprocess_split(task.train_anomalous, target_hw),
-        test_normal=preprocess_split(task.test_normal, target_hw),
-        test_anomalous=preprocess_split(task.test_anomalous, target_hw),
-        anomaly_class=task.anomaly_class,
-        seed=task.seed,
-        source_indices=task.source_indices,
-    )
 
 
 # ---------------------------------------------------------------------------

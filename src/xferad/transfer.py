@@ -279,34 +279,27 @@ def train_target(model, task, config):
     """Train the 2-class target model on an anomaly task.
 
     Runs the frozen prefix once per train sample (prefix_features, which
-    also preprocesses raw images) and fits the rest as train_suffix does.
+    also preprocesses raw images), then train_suffix on those activations.
     """
     k = _check_target(model, config)
     splits = (task.train_normal, task.train_anomalous, task.test_normal, task.test_anomalous)
     if any(len(s) == 0 for s in splits):
         raise CapacityError("task splits must be non-empty")
-    normal, anomalous = (
-        prefix_features(model, k, s, np.arange(len(s))) for s in splits[:2]
+    return train_suffix(
+        model, *(prefix_features(model, k, s, np.arange(len(s))) for s in splits[:2]), config
     )
-    return _fit_suffix(model, k, normal, anomalous, config)
 
 
 def train_suffix(model, normal, anomalous, config):
     """Train the 2-class target model on its train splits' activations
     entering layer frozen_prefix_length(model) (see prefix_features).
 
-    Holds out a seeded stratified val_fraction of the training data for
-    per-epoch validation AUC, trains the suffix with shuffled minibatches,
+    Holds out a seeded stratified val_fraction of each split for per-epoch
+    validation AUC (CapacityError if either part of a split would be empty,
+    so an empty split too), trains the suffix with shuffled minibatches,
     and returns the model of the selected epoch plus the TrainRecord.
     """
     k = _check_target(model, config)
-    if len(normal) == 0 or len(anomalous) == 0:
-        raise CapacityError("task splits must be non-empty")
-    return _fit_suffix(model, k, normal, anomalous, config)
-
-
-def _fit_suffix(model, k, normal, anomalous, config):
-    """train_suffix on a checked model whose frozen prefix length is k."""
     val_n_idx, val_a_idx = _stratified_val_split(
         len(normal), len(anomalous), config.val_fraction, config.seed
     )

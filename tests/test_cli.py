@@ -385,8 +385,28 @@ def test_benchmark_equals_make_task_transfer_evaluate_per_class(two_class_corpus
         assert same(ev / "report.json", bench / f"report_{c}.json")
 
 
-def test_benchmark_preprocesses_each_used_sample_once(two_class_corpus, source_weights,
-                                                      tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["benchmark", "transfer", "evaluate"])
+def test_command_preprocesses_each_used_sample_once(two_class_corpus, source_weights,
+                                                    tmp_path, monkeypatch, command):
+    """benchmark preprocesses every split of every class's task, transfer
+    its task's train splits and evaluate its test splits: each sample once."""
+    flags = dataset_flags(two_class_corpus)
+    task, out = tmp_path / "task.json", tmp_path / "out"
+    assert main(["make-task", *flags, "--anomaly-class", "1", "--train-per-class", "10",
+                 "--test-per-class", "5", "--seed", "9", "--out", str(task)]) == 0
+    detector = str(tmp_path / "detector.xfaw")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+    extra, task_files, splits = {
+        "benchmark": (["--source-weights", source_weights, "--train-per-class", "10",
+                       "--test-per-class", "5", "--epochs", "1", "--seed", "9",
+                       "--out-dir", str(out)],
+                      [out / "task_0.json", out / "task_1.json"], cli.TASK_SPLITS),
+        "transfer": (["--source-weights", source_weights, "--task", str(task),
+                      "--epochs", "1", "--out", str(out / "w.xfaw")],
+                     [task], cli.TASK_SPLITS[:2]),
+        "evaluate": (["--weights", detector, "--task", str(task), "--out-dir", str(out)],
+                     [task], cli.TASK_SPLITS[2:]),
+    }[command]
     ds = data.load_idx(two_class_corpus["images"], two_class_corpus["labels"])
     position = {img.tobytes(): i for i, img in enumerate(ds.images)}
     assert len(position) == len(ds)  # every sample is recognizable by its bytes
@@ -399,14 +419,12 @@ def test_benchmark_preprocesses_each_used_sample_once(two_class_corpus, source_w
         return preprocess_split(images, target_hw)
 
     monkeypatch.setattr(data, "preprocess_split", counting)
-    bench = tmp_path / "bench"
-    assert main(["benchmark", *dataset_flags(two_class_corpus), "--source-weights",
-                 source_weights, "--train-per-class", "10", "--test-per-class", "5",
-                 "--epochs", "1", "--seed", "9", "--out-dir", str(bench)]) == 0
+    assert main([command, *flags, *extra]) == 0
     used = np.zeros(len(ds), dtype=bool)
-    for c in (0, 1):
-        for ix in json.load(open(bench / f"task_{c}.json"))["indices"].values():
-            used[ix] = True
+    for path in task_files:
+        indices = json.load(open(path))["indices"]
+        for s in splits:
+            used[indices[s]] = True
     assert 0 < used.sum() < len(ds)
     assert np.array_equal(counts, used.astype(np.int64))
 

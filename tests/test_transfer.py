@@ -254,6 +254,17 @@ def test_val_split_cannot_empty_a_class():
         transfer.train_target(tgt, tiny, config)
 
 
+@pytest.mark.parametrize("empty", ["normal", "anomalous"])
+def test_train_suffix_rejects_an_empty_split(empty):
+    m = transfer.replace_head(small_source(), 2, seed=0)
+    task = blob_task()
+    splits = {"normal": task.train_normal, "anomalous": task.train_anomalous}
+    splits[empty] = splits[empty][:0]
+    with pytest.raises(CapacityError):
+        transfer.train_suffix(m, splits["normal"], splits["anomalous"],
+                              transfer.TransferConfig(epochs=0, seed=0))
+
+
 # ---------------------------------------------------------------------------
 # pretraining
 
