@@ -202,6 +202,8 @@ def _resolve_task(path, ds):
     if not isinstance(inputs, dict):
         raise FormatError(f"task file {path}: inputs must map paths to digests")
     for p, digest in inputs.items():
+        if os.path.isdir(p):
+            raise FormatError(f"task file {path}: input {p} is a directory, not a dataset file")
         if os.path.exists(p) and _sha256(p) != digest:
             raise FormatError(f"task file {path}: dataset {p} digest changed since task creation")
     n = len(ds)
@@ -216,14 +218,16 @@ def _resolve_task(path, ds):
 
 
 def _check_task_invariants(path, labels, idx, anomaly_class):
-    """ConsistencyError unless every split is non-empty, the train splits
-    are equal-sized, train and test are disjoint, and each split holds only
-    the labels its role allows."""
+    """ConsistencyError unless every split is non-empty and repeats no
+    sample, the train splits are equal-sized, train and test are disjoint,
+    and each split holds only the labels its role allows."""
     train = np.concatenate([idx["train_normal"], idx["train_anomalous"]])
     test = np.concatenate([idx["test_normal"], idx["test_anomalous"]])
     problems = []
     if any(len(v) == 0 for v in idx.values()):
         problems.append("a split is empty")
+    if any(len(np.unique(v)) != len(v) for v in idx.values()):
+        problems.append("a split repeats a sample")
     if len(idx["train_normal"]) != len(idx["train_anomalous"]):
         problems.append("train splits are not equal-sized")
     if np.intersect1d(train, test).size:

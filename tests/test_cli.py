@@ -435,7 +435,9 @@ def test_command_preprocesses_each_used_sample_once(two_class_corpus, source_wei
     lambda doc: {k: v for k, v in doc.items() if k != "anomaly_class"},
     lambda doc: {**doc, "seed": "2"},
     lambda doc: {**doc, "anomaly_class": 9.0},
-], ids=["not_json", "no_indices", "no_anomaly_class", "string_seed", "float_anomaly_class"])
+    lambda doc: {**doc, "inputs": {".": "0" * 64}},
+], ids=["not_json", "no_indices", "no_anomaly_class", "string_seed", "float_anomaly_class",
+        "directory_input"])
 @pytest.mark.parametrize("command", ["evaluate", "validate-task"])
 def test_malformed_task_file_exits_format(corpus, source_weights, task_file, tmp_path,
                                           tamper, command):
@@ -478,4 +480,14 @@ def test_task_with_empty_test_splits_exits_consistency(corpus, source_weights, t
     doc = json.load(open(task_file))
     doc["indices"]["test_normal"] = []
     doc["indices"]["test_anomalous"] = []
+    assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path)
+
+
+@pytest.mark.parametrize("split", ["train_normal", "test_anomalous"])
+@pytest.mark.parametrize("command", ["transfer", "evaluate", "validate-task"])
+def test_task_with_a_split_repeating_a_sample_exits_consistency(corpus, source_weights,
+                                                                task_file, tmp_path, command,
+                                                                split):
+    doc = json.load(open(task_file))
+    doc["indices"][split][1] = doc["indices"][split][0]
     assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path)
