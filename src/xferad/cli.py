@@ -421,7 +421,7 @@ def cmd_benchmark(args):
         task_path = os.path.join(args.out_dir, f"task_{cls}.json")
         _write_task(task_path, cls, args.seed, idx, input_files)
 
-        model, config, _ = _detector(args, source, args.seed + cls, transfer.SELECT_BEST_VAL_AUC)
+        model, config, depth = _detector(args, source, args.seed + cls, transfer.SELECT_BEST_VAL_AUC)
         trained, record = transfer.train_suffix(
             model, features(idx["train_normal"]), features(idx["train_anomalous"]), config
         )
@@ -451,7 +451,7 @@ def cmd_benchmark(args):
     _write_manifest(
         os.path.join(args.out_dir, "benchmark.manifest.json"), "benchmark",
         {**_dataset_params(args), "source_weights": args.source_weights,
-         "strategy": args.strategy, "freeze_depth": args.freeze_depth,
+         "strategy": args.strategy, "freeze_depth": depth,
          "train_per_class": args.train_per_class, "test_per_class": args.test_per_class,
          "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
          "seed": args.seed},

@@ -383,6 +383,8 @@ def test_benchmark_equals_make_task_transfer_evaluate_per_class(two_class_corpus
         assert same(weights, bench / f"weights_{c}.xfaw")
         assert same(f"{weights}.record.csv", bench / f"record_{c}.csv")
         assert same(ev / "report.json", bench / f"report_{c}.json")
+    depth = lambda path: json.load(open(path))["parameters"]["freeze_depth"]
+    assert depth(f"{weights}.manifest.json") == depth(bench / "benchmark.manifest.json")
 
 
 @pytest.mark.parametrize("command", ["benchmark", "transfer", "evaluate"])
