@@ -202,8 +202,8 @@ def _resolve_task(path, ds):
     if not isinstance(inputs, dict):
         raise FormatError(f"task file {path}: inputs must map paths to digests")
     for p, digest in inputs.items():
-        if os.path.isdir(p):
-            raise FormatError(f"task file {path}: input {p} is a directory, not a dataset file")
+        if os.path.exists(p) and not os.path.isfile(p):
+            raise FormatError(f"task file {path}: input {p} is not a regular file")
         if os.path.exists(p) and _sha256(p) != digest:
             raise FormatError(f"task file {path}: dataset {p} digest changed since task creation")
     n = len(ds)
