@@ -41,12 +41,20 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(path, command, params, inputs, outputs):
+# the flags that name where a command writes; a manifest lists the files
+# written under "outputs" instead
+OUTPUT_FLAGS = ("out", "out_dir", "out_images", "out_labels")
+
+
+def _write_manifest(path, args, inputs, outputs, **resolved):
+    """Record every parsed flag of args but OUTPUT_FLAGS, with the values
+    the command resolved itself (resolved) in place of the raw flags."""
+    params = {k: v for k, v in vars(args).items() if k not in ("fn", "command", *OUTPUT_FLAGS)}
     doc = {
         "tool": "xferad",
         "version": __version__,
-        "command": command,
-        "parameters": params,
+        "command": args.command,
+        "parameters": {**params, **resolved},
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": sorted(outputs),
     }
@@ -97,17 +105,6 @@ def _load_dataset(args):
     return data.load_cifar10_batches(paths), paths
 
 
-def _dataset_params(args):
-    return {
-        "data_format": args.data_format,
-        "images": args.images,
-        "labels": args.labels,
-        "root": args.root,
-        "class_dirs": args.class_dirs,
-        "size": list(args.size),
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -115,11 +112,7 @@ def _dataset_params(args):
 def cmd_make_synth(args):
     _make_parent_dirs(args.out_images, args.out_labels)
     synth.write_digit_idx(args.out_images, args.out_labels, args.per_class, args.seed)
-    _write_manifest(
-        args.out_images + ".manifest.json", "make-synth",
-        {"per_class": args.per_class, "seed": args.seed},
-        [], [args.out_images, args.out_labels],
-    )
+    _write_manifest(args.out_images + ".manifest.json", args, [], [args.out_images, args.out_labels])
     print(f"wrote {args.out_images} and {args.out_labels} "
           f"({args.per_class} samples per digit, seed {args.seed})")
     return 0
@@ -155,13 +148,7 @@ def cmd_pretrain(args):
     nn.save_weights(trained, args.out)
     record_path = args.out + ".record.csv"
     record.to_csv(record_path)
-    _write_manifest(
-        args.out + ".manifest.json", "pretrain",
-        {**_dataset_params(args), "classes": class_list, "per_class": args.per_class,
-         "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-         "seed": args.seed},
-        input_files, [args.out, record_path],
-    )
+    _write_manifest(args.out + ".manifest.json", args, input_files, [args.out, record_path])
     last = record.epochs[-1].train_loss if record.epochs else float("nan")
     print(f"pretrained on {len(labels)} samples / {len(class_list)} classes; "
           f"final epoch loss {last:.4f}; weights -> {args.out}")
@@ -249,13 +236,7 @@ def cmd_make_task(args):
         ds.labels, args.anomaly_class, args.train_per_class, args.test_per_class, args.seed
     )
     _write_task(args.out, args.anomaly_class, args.seed, indices, input_files)
-    _write_manifest(
-        args.out + ".manifest.json", "make-task",
-        {**_dataset_params(args), "anomaly_class": args.anomaly_class,
-         "train_per_class": args.train_per_class, "test_per_class": args.test_per_class,
-         "seed": args.seed},
-        input_files, [args.out],
-    )
+    _write_manifest(args.out + ".manifest.json", args, input_files, [args.out])
     print(f"task: anomaly class {args.anomaly_class}, "
           f"{args.train_per_class}/{args.train_per_class} train, "
           f"{args.test_per_class}/{args.test_per_class} test -> {args.out}")
@@ -343,13 +324,8 @@ def cmd_transfer(args):
     record_path = args.out + ".record.csv"
     record.to_csv(record_path)
     _write_manifest(
-        args.out + ".manifest.json", "transfer",
-        {**_dataset_params(args), "strategy": args.strategy,
-         "freeze_depth": depth, "source_weights": args.source_weights,
-         "task": args.task, "epochs": args.epochs, "lr": args.lr,
-         "batch_size": args.batch_size, "model_selection": args.model_selection,
-         "seed": args.seed},
-        input_files + [args.source_weights, args.task], [args.out, record_path],
+        args.out + ".manifest.json", args, input_files + [args.source_weights, args.task],
+        [args.out, record_path], freeze_depth=depth,
     )
     sel = record.selected_epoch
     val = record.epochs[sel].val_auc if record.epochs else None
@@ -376,11 +352,8 @@ def cmd_evaluate(args):
     emit_report(report, roc_path, "csv")
     write_scores_csv(scored, scores_path)
     _write_manifest(
-        os.path.join(args.out_dir, "evaluate.manifest.json"), "evaluate",
-        {**_dataset_params(args), "weights": args.weights, "task": args.task,
-         "threshold": args.threshold},
-        input_files + [args.weights, args.task],
-        [report_path, roc_path, scores_path],
+        os.path.join(args.out_dir, "evaluate.manifest.json"), args,
+        input_files + [args.weights, args.task], [report_path, roc_path, scores_path],
     )
 
     c = report.confusion
@@ -449,13 +422,8 @@ def cmd_benchmark(args):
         f.write(f"mean,{mean!r}\n")
     outputs.append(csv_path)
     _write_manifest(
-        os.path.join(args.out_dir, "benchmark.manifest.json"), "benchmark",
-        {**_dataset_params(args), "source_weights": args.source_weights,
-         "strategy": args.strategy, "freeze_depth": depth,
-         "train_per_class": args.train_per_class, "test_per_class": args.test_per_class,
-         "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-         "seed": args.seed},
-        input_files + [args.source_weights], outputs,
+        os.path.join(args.out_dir, "benchmark.manifest.json"), args,
+        input_files + [args.source_weights], outputs, freeze_depth=depth,
     )
     print(f"mean AUC over {len(rows)} one-vs-rest classes: {mean:.6f} -> {csv_path}")
     return 0
@@ -487,6 +455,19 @@ _class_list = _checked(
     lambda v: min(v) >= 0 and len(set(v)) == len(v),
     "distinct comma-separated integers >= 0",
 )
+
+
+def _add_detector_args(p, epochs):
+    """The flags of a command that trains detectors on a source model."""
+    _add_dataset_args(p)
+    p.add_argument("--source-weights", required=True)
+    p.add_argument("--strategy", choices=["fixed", "finetune"], default="finetune")
+    p.add_argument("--freeze-depth", type=_non_negative, default=None,
+                   help="parameterized layers to freeze (finetune default: all conv blocks but the last)")
+    p.add_argument("--epochs", type=_non_negative, default=epochs)
+    p.add_argument("--lr", type=_rate, default=1e-3)
+    p.add_argument("--batch-size", type=_count, default=16)
+    p.add_argument("--seed", type=_non_negative, default=0)
 
 
 def _build_parser():
@@ -532,18 +513,10 @@ def _build_parser():
     s.set_defaults(fn=cmd_validate_task)
 
     s = sub.add_parser("transfer", help="replace head, freeze, train on a task")
-    _add_dataset_args(s)
-    s.add_argument("--strategy", choices=["fixed", "finetune"], default="finetune")
-    s.add_argument("--freeze-depth", type=_non_negative, default=None,
-                   help="parameterized layers to freeze (finetune default: all conv blocks but the last)")
-    s.add_argument("--source-weights", required=True)
+    _add_detector_args(s, epochs=50)
     s.add_argument("--task", required=True)
-    s.add_argument("--epochs", type=_non_negative, default=50)
-    s.add_argument("--lr", type=_rate, default=1e-3)
-    s.add_argument("--batch-size", type=_count, default=16)
     s.add_argument("--model-selection", choices=[transfer.SELECT_BEST_VAL_AUC, transfer.SELECT_LAST_EPOCH],
                    default=transfer.SELECT_BEST_VAL_AUC)
-    s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out", required=True, help="weight file to write")
     s.set_defaults(fn=cmd_transfer)
 
@@ -556,16 +529,9 @@ def _build_parser():
     s.set_defaults(fn=cmd_evaluate)
 
     s = sub.add_parser("benchmark", help="every one-vs-rest task of the dataset, one AUC per class")
-    _add_dataset_args(s)
-    s.add_argument("--source-weights", required=True)
-    s.add_argument("--strategy", choices=["fixed", "finetune"], default="finetune")
-    s.add_argument("--freeze-depth", type=_non_negative, default=None)
+    _add_detector_args(s, epochs=8)
     s.add_argument("--train-per-class", type=_count, default=1000)
     s.add_argument("--test-per-class", type=_count, default=1000)
-    s.add_argument("--epochs", type=_non_negative, default=8)
-    s.add_argument("--lr", type=_rate, default=1e-3)
-    s.add_argument("--batch-size", type=_count, default=16)
-    s.add_argument("--seed", type=_non_negative, default=0)
     s.add_argument("--out-dir", required=True)
     s.set_defaults(fn=cmd_benchmark)
 

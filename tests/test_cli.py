@@ -493,3 +493,59 @@ def test_task_with_a_split_repeating_a_sample_exits_consistency(corpus, source_w
     doc = json.load(open(task_file))
     doc["indices"][split][1] = doc["indices"][split][0]
     assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["make-synth", "pretrain", "make-task", "transfer",
+                                     "evaluate", "benchmark"])
+def test_manifest_parameters_of_each_command(corpus, source_weights, task_file, tmp_path,
+                                             monkeypatch, command):
+    """Each manifest records every parsed flag but its output paths, with
+    the freeze depth and input size the command resolved."""
+    monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
+    detector = str(tmp_path / "detector.xfaw")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+    out = tmp_path / "out"
+    dataset = {"data_format": "idx", "images": corpus["images"], "labels": corpus["labels"],
+               "root": None, "class_dirs": None, "size": [16, 16]}
+    argv, manifest, expected = {
+        "make-synth": (
+            ["--per-class", "2", "--seed", "3", "--out-images", str(out / "i"),
+             "--out-labels", str(out / "l")],
+            out / "i.manifest.json", {"per_class": 2, "seed": 3}),
+        "pretrain": (
+            [*dataset_flags(corpus), "--classes", "0,1", "--per-class", "4", "--epochs", "1",
+             "--out", str(out / "s.xfaw")],
+            out / "s.xfaw.manifest.json",
+            {**dataset, "classes": [0, 1], "per_class": 4, "epochs": 1, "lr": 0.01,
+             "batch_size": 16, "seed": 0}),
+        "make-task": (
+            [*dataset_flags(corpus), "--anomaly-class", "1", "--train-per-class", "4",
+             "--test-per-class", "2", "--seed", "5", "--out", str(out / "t.json")],
+            out / "t.json.manifest.json",
+            {**dataset, "anomaly_class": 1, "train_per_class": 4, "test_per_class": 2,
+             "seed": 5}),
+        "transfer": (
+            [*dataset_flags(corpus), "--source-weights", source_weights, "--task", task_file,
+             "--epochs", "1", "--lr", "0.002", "--out", str(out / "w.xfaw")],
+            out / "w.xfaw.manifest.json",
+            {**dataset, "strategy": "finetune", "freeze_depth": 2,
+             "source_weights": source_weights, "task": task_file, "epochs": 1, "lr": 0.002,
+             "batch_size": 16, "model_selection": "best_val_auc", "seed": 0}),
+        "evaluate": (
+            [*dataset_flags(corpus), "--weights", detector, "--task", task_file,
+             "--threshold", "0.25", "--out-dir", str(out)],
+            out / "evaluate.manifest.json",
+            {**dataset, "weights": detector, "task": task_file, "threshold": 0.25}),
+        "benchmark": (
+            [*dataset_flags(corpus), "--source-weights", source_weights, "--strategy", "fixed",
+             "--train-per-class", "10", "--test-per-class", "2", "--epochs", "1",
+             "--batch-size", "8", "--seed", "6", "--out-dir", str(out)],
+            out / "benchmark.manifest.json",
+            {**dataset, "source_weights": source_weights, "strategy": "fixed",
+             "freeze_depth": 3, "train_per_class": 10, "test_per_class": 2, "epochs": 1,
+             "lr": 0.001, "batch_size": 8, "seed": 6}),
+    }[command]
+    assert main([command, *argv]) == 0
+    doc = json.load(open(manifest))
+    assert doc["command"] == command
+    assert doc["parameters"] == expected
