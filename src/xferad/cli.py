@@ -82,7 +82,8 @@ def _add_dataset_args(p):
                    help=f"data directory for dir/cifar10 formats (default ${DATA_ENV_VAR})")
     p.add_argument("--class-dirs", help="comma-separated class subdirectories (dir format)")
     p.add_argument("--size", type=_count, nargs=2, default=[32, 32], metavar=("H", "W"),
-                   help="preprocess target size (default 32 32; use 224 224 or 299 299 for full-fidelity runs)")
+                   help="pretrain's input size (default 32 32; use 224 224 or 299 299 for full-fidelity "
+                        "runs); the other commands use their weights' input size")
 
 
 def _load_dataset(args):
@@ -170,8 +171,12 @@ def _write_task(path, anomaly_class, seed, indices, input_files):
 TASK_SPLITS = ("train_normal", "train_anomalous", "test_normal", "test_anomalous")
 
 
-def _resolve_task(path, ds):
-    """The checked int64 sample indices into ds of each of TASK_SPLITS."""
+def _resolve_task(path, ds, input_files):
+    """The checked int64 sample indices into ds of each of TASK_SPLITS.
+
+    A task that records dataset digests must have been made on files with
+    the same contents as input_files, the files ds was loaded from.
+    """
     with open(path) as f:
         try:
             doc = json.load(f)
@@ -185,14 +190,12 @@ def _resolve_task(path, ds):
     raw = doc.get("indices")
     if not isinstance(raw, dict) or sorted(raw) != sorted(TASK_SPLITS):
         raise FormatError(f"task file {path}: indices must map exactly {', '.join(TASK_SPLITS)}")
-    inputs = doc.get("inputs", {})
-    if not isinstance(inputs, dict):
-        raise FormatError(f"task file {path}: inputs must map paths to digests")
-    for p, digest in inputs.items():
-        if os.path.exists(p) and not os.path.isfile(p):
-            raise FormatError(f"task file {path}: input {p} is not a regular file")
-        if os.path.exists(p) and _sha256(p) != digest:
-            raise FormatError(f"task file {path}: dataset {p} digest changed since task creation")
+    if "inputs" in doc:
+        digests = doc["inputs"]
+        if not isinstance(digests, dict) or not all(type(d) is str for d in digests.values()):
+            raise FormatError(f"task file {path}: inputs must map paths to digests")
+        if sorted(digests.values()) != sorted(map(_sha256, input_files)):
+            raise FormatError(f"task file {path}: recorded digests differ from the loaded dataset's files")
     n = len(ds)
     for k, v in raw.items():
         if not isinstance(v, list) or not all(type(i) is int for i in v):
@@ -244,8 +247,8 @@ def cmd_make_task(args):
 
 
 def cmd_validate_task(args):
-    ds, _ = _load_dataset(args)
-    _resolve_task(args.task, ds)
+    ds, input_files = _load_dataset(args)
+    _resolve_task(args.task, ds, input_files)
     print(f"task {args.task} passes all invariant checks")
     return 0
 
@@ -315,7 +318,7 @@ def cmd_transfer(args):
     _make_parent_dirs(args.out)
     ds, input_files = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
-    idx = _resolve_task(args.task, ds)
+    idx = _resolve_task(args.task, ds, input_files)
     model, config, depth = _detector(args, source, args.seed, args.model_selection)
     train = [idx["train_normal"], idx["train_anomalous"]]
     features = _feature_lookup(model, transfer.frozen_prefix_length(model), ds.images, train)
@@ -325,7 +328,7 @@ def cmd_transfer(args):
     record.to_csv(record_path)
     _write_manifest(
         args.out + ".manifest.json", args, input_files + [args.source_weights, args.task],
-        [args.out, record_path], freeze_depth=depth,
+        [args.out, record_path], freeze_depth=depth, size=list(model.input_shape[1:]),
     )
     sel = record.selected_epoch
     val = record.epochs[sel].val_auc if record.epochs else None
@@ -338,7 +341,7 @@ def cmd_transfer(args):
 def cmd_evaluate(args):
     ds, input_files = _load_dataset(args)
     model = nn.load_weights(args.weights)
-    idx = _resolve_task(args.task, ds)
+    idx = _resolve_task(args.task, ds, input_files)
     test = [data.gather(ds.images, idx[s]) for s in TASK_SPLITS[2:]]
     scored, report = _checked_report(
         model, *(data.preprocess_split(x, model.input_shape[1:]) for x in test), args.threshold
@@ -354,6 +357,7 @@ def cmd_evaluate(args):
     _write_manifest(
         os.path.join(args.out_dir, "evaluate.manifest.json"), args,
         input_files + [args.weights, args.task], [report_path, roc_path, scores_path],
+        size=list(model.input_shape[1:]),
     )
 
     c = report.confusion
@@ -424,6 +428,7 @@ def cmd_benchmark(args):
     _write_manifest(
         os.path.join(args.out_dir, "benchmark.manifest.json"), args,
         input_files + [args.source_weights], outputs, freeze_depth=depth,
+        size=list(source.input_shape[1:]),
     )
     print(f"mean AUC over {len(rows)} one-vs-rest classes: {mean:.6f} -> {csv_path}")
     return 0

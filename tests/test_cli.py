@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,8 +442,9 @@ def test_command_preprocesses_each_used_sample_once(two_class_corpus, source_wei
     lambda doc: {**doc, "seed": "2"},
     lambda doc: {**doc, "anomaly_class": 9.0},
     lambda doc: {**doc, "inputs": {".": "0" * 64}},
+    lambda doc: {**doc, "inputs": dict.fromkeys(doc["inputs"], 0)},
 ], ids=["not_json", "no_indices", "no_anomaly_class", "string_seed", "float_anomaly_class",
-        "directory_input"])
+        "directory_input", "integer_digests"])
 @pytest.mark.parametrize("command", ["evaluate", "validate-task"])
 def test_malformed_task_file_exits_format(corpus, source_weights, task_file, tmp_path,
                                           tamper, command):
@@ -451,8 +456,8 @@ def test_malformed_task_file_exits_format(corpus, source_weights, task_file, tmp
     assert main([command, *dataset_flags(corpus), "--task", str(bad), *extra]) == EXIT_FORMAT
 
 
-def assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path):
-    """Run command on the task doc; it must exit 5 and write nothing."""
+def assert_task_doc_exits(code, doc, command, corpus, source_weights, tmp_path):
+    """Run command on the task doc and corpus; it must exit code and write nothing."""
     bad = tmp_path / "bad_task.json"
     bad.write_text(json.dumps(doc))
     detector = str(tmp_path / "detector.xfaw")
@@ -463,7 +468,7 @@ def assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_
         "evaluate": ["--weights", detector, "--out-dir", str(out)],
         "validate-task": [],
     }[command]
-    assert main([command, *dataset_flags(corpus), "--task", str(bad), *extra]) == EXIT_CONSISTENCY
+    assert main([command, *dataset_flags(corpus), "--task", str(bad), *extra]) == code
     assert not out.exists()
 
 
@@ -473,7 +478,7 @@ def test_task_with_test_split_repeating_train_exits_consistency(corpus, source_w
     doc = json.load(open(task_file))
     n = len(doc["indices"]["test_normal"])
     doc["indices"]["test_normal"] = doc["indices"]["train_normal"][:n]
-    assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path)
+    assert_task_doc_exits(EXIT_CONSISTENCY, doc, command, corpus, source_weights, tmp_path)
 
 
 @pytest.mark.parametrize("command", ["transfer", "evaluate", "validate-task"])
@@ -482,7 +487,7 @@ def test_task_with_empty_test_splits_exits_consistency(corpus, source_weights, t
     doc = json.load(open(task_file))
     doc["indices"]["test_normal"] = []
     doc["indices"]["test_anomalous"] = []
-    assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path)
+    assert_task_doc_exits(EXIT_CONSISTENCY, doc, command, corpus, source_weights, tmp_path)
 
 
 @pytest.mark.parametrize("split", ["train_normal", "test_anomalous"])
@@ -492,7 +497,47 @@ def test_task_with_a_split_repeating_a_sample_exits_consistency(corpus, source_w
                                                                 split):
     doc = json.load(open(task_file))
     doc["indices"][split][1] = doc["indices"][split][0]
-    assert_task_doc_exits_consistency(doc, command, corpus, source_weights, tmp_path)
+    assert_task_doc_exits(EXIT_CONSISTENCY, doc, command, corpus, source_weights, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["transfer", "evaluate", "validate-task"])
+def test_task_run_on_a_dataset_with_changed_pixels_exits_format(corpus, source_weights,
+                                                                task_file, tmp_path, command):
+    """The task's digests are checked against the files the command
+    loaded, not against the files the task names."""
+    ds = data.load_idx(corpus["images"], corpus["labels"])
+    changed = {"images": str(tmp_path / "inverted-images"), "labels": str(tmp_path / "labels")}
+    data.write_idx(1.0 - ds.images, ds.labels, changed["images"], changed["labels"])
+    doc = json.load(open(task_file))
+    assert_task_doc_exits(EXIT_FORMAT, doc, command, changed, source_weights, tmp_path)
+
+
+def test_task_naming_a_fifo_input_exits_format_without_opening_it(corpus, task_file, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    doc = json.load(open(task_file))
+    bad = tmp_path / "fifo_task.json"
+    bad.write_text(json.dumps({**doc, "inputs": {str(fifo): "0" * 64}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "xferad.cli", "validate-task",
+                           *dataset_flags(corpus), "--task", str(bad)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_FORMAT, proc.stderr
+
+
+def test_evaluate_uses_and_records_the_weights_input_size(corpus, source_weights, task_file,
+                                                          tmp_path):
+    detector = str(tmp_path / "detector.xfaw")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+    runs = {}
+    for size in (16, 64):
+        out = tmp_path / f"size{size}"
+        assert main(["evaluate", *dataset_flags(corpus, size), "--weights", detector,
+                     "--task", task_file, "--out-dir", str(out)]) == 0
+        manifest = json.load(open(out / "evaluate.manifest.json"))
+        assert manifest["parameters"]["size"] == [16, 16]
+        runs[size] = [(out / n).read_bytes() for n in ("report.json", "roc.csv", "scores.csv")]
+    assert runs[64] == runs[16]
 
 
 @pytest.mark.parametrize("command", ["make-synth", "pretrain", "make-task", "transfer",
