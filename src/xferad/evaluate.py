@@ -98,15 +98,13 @@ def anomaly_scores(model, samples):
 
     Pure inference (no tape); the model must have exactly 2 outputs.
     AUC under this orientation equals AUC under the complementary
-    normal-neuron scoring. float64 samples stay float64 (as in a
-    Tensor), so a double-precision model's cached activations score
-    unrounded; any other dtype is cast to float32.
+    normal-neuron scoring. Each chunk enters a Tensor, so float64
+    samples stay float64 and a double-precision model's cached
+    activations score unrounded; any other dtype becomes float32.
     """
     if model.num_classes != 2:
         raise ContractError(f"anomaly scoring needs a 2-class model, got {model.num_classes}")
     samples = np.asarray(samples)
-    if samples.dtype != np.float64:
-        samples = samples.astype(np.float32, copy=False)
     out = np.empty(len(samples), dtype=np.float64)
     for start in range(0, len(samples), INFER_BATCH):
         chunk = samples[start:start + INFER_BATCH]

@@ -35,6 +35,9 @@ PRETRAIN_LR = 1e-2
 SGD_DECAY = 1e-6
 SGD_MOMENTUM = 0.9
 
+# share of each train split that target training holds out for validation
+VAL_FRACTION = 0.1
+
 
 @dataclass
 class FreezePolicy:
@@ -63,15 +66,12 @@ class TransferConfig:
     epochs: int = 50
     seed: int = 0
     model_selection: str = SELECT_BEST_VAL_AUC
-    val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.strategy not in (STRATEGY_FIXED, STRATEGY_FINE_TUNE):
             raise ContractError(f"unknown strategy {self.strategy!r}")
         if self.model_selection not in (SELECT_BEST_VAL_AUC, SELECT_LAST_EPOCH):
             raise ContractError(f"unknown model_selection {self.model_selection!r}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ContractError(f"val_fraction must be in (0,1), got {self.val_fraction}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ContractError("epochs must be >= 0 and batch_size >= 1")
 
@@ -107,16 +107,21 @@ class TrainRecord:
                 ])
 
 
-def _train_epochs(model, inputs, labels, config, evaluate_epoch=None, net=None):
-    """Shared loop: per epoch, shuffled minibatch SGD; optional epoch hook.
+def _train_epochs(model, inputs, labels, config, val=None, k=0):
+    """Shared loop: per epoch, shuffled minibatch SGD on model.suffix(k),
+    whose inputs are the activations entering layer k (k == 0: model).
 
-    net is the graph run on inputs: model itself by default, or
-    model.suffix(k) with inputs the cached activations entering layer k.
-    The optimizer steps model, so velocities and errors stay keyed by
-    its parameter names.
+    The optimizer steps model, so velocities and errors stay keyed by its
+    parameter names. With val = (inputs, labels) each epoch records its
+    val AUC, and under best_val_auc the first epoch of the highest one is
+    selected; otherwise the last epoch is. Returns (the selected epoch's
+    model, TrainRecord): model itself, trained in place, unless an
+    earlier best epoch was copied.
     """
-    net = model if net is None else net
+    net = model.suffix(k)
     state = config.make_sgd()
+    pick_best = val is not None and config.model_selection == SELECT_BEST_VAL_AUC
+    selected, best, best_auc = max(config.epochs - 1, 0), model, -1.0
     record = []
     for epoch in range(config.epochs):
         total, seen = 0.0, 0
@@ -137,9 +142,11 @@ def _train_epochs(model, inputs, labels, config, evaluate_epoch=None, net=None):
             nn.zero_grads(model)
             total += value * len(yb)
             seen += len(yb)
-        val = evaluate_epoch() if evaluate_epoch is not None else None
-        record.append(EpochStats(epoch, total / max(seen, 1), val, lr_at_start))
-    return record
+        auc = None if val is None else auc_trapezoid(ScoredSet(anomaly_scores(net, val[0]), val[1]))
+        record.append(EpochStats(epoch, total / max(seen, 1), auc, lr_at_start))
+        if pick_best and auc > best_auc:
+            selected, best, best_auc = epoch, model.copy(), auc
+    return best, TrainRecord(record, selected)
 
 
 def pretrain_source(model, source_set, config):
@@ -156,10 +163,7 @@ def pretrain_source(model, source_set, config):
             f"model has {model.num_classes} outputs but labels go up to {int(labels.max())}"
         )
     images = np.asarray(source_set.images, dtype=np.float32)
-
-    trained = model.copy()
-    stats = _train_epochs(trained, images, labels, config)
-    return trained, TrainRecord(stats, selected_epoch=max(len(stats) - 1, 0))
+    return _train_epochs(model.copy(), images, labels, config)
 
 
 def replace_head(model, num_classes, seed):
@@ -294,48 +298,15 @@ def train_suffix(model, normal, anomalous, config):
     """Train the 2-class target model on its train splits' activations
     entering layer frozen_prefix_length(model) (see prefix_features).
 
-    Holds out a seeded stratified val_fraction of each split for per-epoch
+    Holds out a seeded stratified VAL_FRACTION of each split for per-epoch
     validation AUC (CapacityError if either part of a split would be empty,
     so an empty split too), trains the suffix with shuffled minibatches,
     and returns the model of the selected epoch plus the TrainRecord.
     """
     k = _check_target(model, config)
-    val_n_idx, val_a_idx = _stratified_val_split(
-        len(normal), len(anomalous), config.val_fraction, config.seed
-    )
-    mask_n = np.zeros(len(normal), dtype=bool)
-    mask_n[val_n_idx] = True
-    mask_a = np.zeros(len(anomalous), dtype=bool)
-    mask_a[val_a_idx] = True
-
-    a_train = np.concatenate([normal[~mask_n], anomalous[~mask_a]])
-    y_train = np.concatenate([
-        np.zeros(int((~mask_n).sum()), dtype=np.int64),
-        np.ones(int((~mask_a).sum()), dtype=np.int64),
-    ])
-    a_val = np.concatenate([normal[mask_n], anomalous[mask_a]])
-    y_val = np.concatenate([
-        np.zeros(len(val_n_idx), dtype=np.int64),
-        np.ones(len(val_a_idx), dtype=np.int64),
-    ])
-
-    trained = model.copy()
-    best = {"auc": -1.0, "model": trained.copy()}
-    net = trained.suffix(k)
-
-    def evaluate_epoch():
-        auc = auc_trapezoid(ScoredSet(anomaly_scores(net, a_val), y_val))
-        if auc > best["auc"]:
-            best["auc"] = auc
-            best["model"] = trained.copy()
-        return auc
-
-    stats = _train_epochs(trained, a_train, y_train, config, evaluate_epoch, net)
-
-    if config.epochs == 0:
-        return trained, TrainRecord([], selected_epoch=0)
-    if config.model_selection == SELECT_BEST_VAL_AUC:
-        aucs = [e.val_auc for e in stats]
-        selected = int(np.argmax(aucs))
-        return best["model"], TrainRecord(stats, selected_epoch=selected)
-    return trained, TrainRecord(stats, selected_epoch=len(stats) - 1)
+    val_n, val_a = _stratified_val_split(len(normal), len(anomalous), VAL_FRACTION, config.seed)
+    train_n, train_a = np.delete(normal, val_n, axis=0), np.delete(anomalous, val_a, axis=0)
+    y_train = np.repeat([0, 1], [len(train_n), len(train_a)])
+    y_val = np.repeat([0, 1], [len(val_n), len(val_a)])
+    val = (np.concatenate([normal[val_n], anomalous[val_a]]), y_val)
+    return _train_epochs(model.copy(), np.concatenate([train_n, train_a]), y_train, config, val, k)

@@ -248,8 +248,7 @@ def test_train_target_epochs_zero_returns_input_model():
 def test_val_split_cannot_empty_a_class():
     tgt = transfer.replace_head(small_source(), 2, seed=0)
     tiny = blob_task(n_train=3, n_test=2)
-    config = transfer.TransferConfig(freeze=transfer.FreezePolicy(0), epochs=1,
-                                     val_fraction=0.05, seed=0)
+    config = transfer.TransferConfig(freeze=transfer.FreezePolicy(0), epochs=1, seed=0)
     with pytest.raises(CapacityError, match="val fraction"):
         transfer.train_target(tgt, tiny, config)
 
@@ -293,6 +292,27 @@ def test_pretrain_same_seed_identical_loss_sequences():
     _, rec_b = transfer.pretrain_source(small_source(seed=13), ds, config)
     assert [e.train_loss for e in rec_a.epochs] == [e.train_loss for e in rec_b.epochs]
     assert all(e.val_auc is None for e in rec_a.epochs)
+
+
+def test_pretrain_selects_the_last_epoch_under_either_selection_rule():
+    # pretraining has no val split, so the best_val_auc default keeps the
+    # last epoch, as last_epoch does
+    ds = source_digits(per_class=6)
+    runs = {
+        selection: transfer.pretrain_source(
+            small_source(seed=14), ds,
+            transfer.TransferConfig(lr0=1e-2, epochs=3, seed=4, model_selection=selection),
+        )
+        for selection in (transfer.SELECT_BEST_VAL_AUC, transfer.SELECT_LAST_EPOCH)
+    }
+    (m_best, r_best), (m_last, r_last) = runs.values()
+    assert r_best.selected_epoch == r_last.selected_epoch == 2
+    assert all(e.val_auc is None for e in r_best.epochs + r_last.epochs)
+    for (na, pa), (_, pb) in zip(m_best.named_parameters(), m_last.named_parameters()):
+        assert np.array_equal(pa.data, pb.data), na
+    _, r_zero = transfer.pretrain_source(small_source(seed=14), ds,
+                                         transfer.TransferConfig(epochs=0, seed=4))
+    assert r_zero.selected_epoch == 0
 
 
 def test_pretrain_needs_two_classes():
@@ -364,7 +384,7 @@ def reference_train_target(model, task, config):
     x_norm = np.asarray(task.train_normal, dtype=np.float32)
     x_anom = np.asarray(task.train_anomalous, dtype=np.float32)
     val_n_idx, val_a_idx = transfer._stratified_val_split(
-        len(x_norm), len(x_anom), config.val_fraction, config.seed
+        len(x_norm), len(x_anom), transfer.VAL_FRACTION, config.seed
     )
     mask_n = np.zeros(len(x_norm), dtype=bool)
     mask_n[val_n_idx] = True
