@@ -41,6 +41,10 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _digests(*paths):
+    return {p: _sha256(p) for p in paths}
+
+
 # the flags that name where a command writes; a manifest lists the files
 # written under "outputs" instead
 OUTPUT_FLAGS = ("out", "out_dir", "out_images", "out_labels")
@@ -48,14 +52,15 @@ OUTPUT_FLAGS = ("out", "out_dir", "out_images", "out_labels")
 
 def _write_manifest(path, args, inputs, outputs, **resolved):
     """Record every parsed flag of args but OUTPUT_FLAGS, with the values
-    the command resolved itself (resolved) in place of the raw flags."""
+    the command resolved itself (resolved) in place of the raw flags, and
+    the {path: digest} map inputs."""
     params = {k: v for k, v in vars(args).items() if k not in ("fn", "command", *OUTPUT_FLAGS)}
     doc = {
         "tool": "xferad",
         "version": __version__,
         "command": args.command,
         "parameters": {**params, **resolved},
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": inputs,
         "outputs": sorted(outputs),
     }
     with open(path, "w") as f:
@@ -87,15 +92,16 @@ def _add_dataset_args(p):
 
 
 def _load_dataset(args):
+    """(dataset, {path: digest} of the files it was loaded from)."""
     if args.data_format == "idx":
         if not args.images or not args.labels:
             raise ContractError("idx format needs --images and --labels")
-        return data.load_idx(args.images, args.labels), [args.images, args.labels]
+        return data.load_idx(args.images, args.labels), _digests(args.images, args.labels)
     if args.data_format == "dir":
         if not args.root or not args.class_dirs:
             raise ContractError("dir format needs --root and --class-dirs")
         subs = args.class_dirs.split(",")
-        return data.load_image_dir(args.root, subs), []
+        return data.load_image_dir(args.root, subs), {}
     if not args.root:
         raise ContractError("cifar10 format needs --root")
     paths = sorted(
@@ -103,7 +109,7 @@ def _load_dataset(args):
     )
     if not paths:
         raise FormatError(f"no .bin batch files under {args.root}")
-    return data.load_cifar10_batches(paths), paths
+    return data.load_cifar10_batches(paths), _digests(*paths)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +119,7 @@ def _load_dataset(args):
 def cmd_make_synth(args):
     _make_parent_dirs(args.out_images, args.out_labels)
     synth.write_digit_idx(args.out_images, args.out_labels, args.per_class, args.seed)
-    _write_manifest(args.out_images + ".manifest.json", args, [], [args.out_images, args.out_labels])
+    _write_manifest(args.out_images + ".manifest.json", args, {}, [args.out_images, args.out_labels])
     print(f"wrote {args.out_images} and {args.out_labels} "
           f"({args.per_class} samples per digit, seed {args.seed})")
     return 0
@@ -134,7 +140,7 @@ def _select_source_classes(ds, class_list, per_class, seed):
 
 def cmd_pretrain(args):
     _make_parent_dirs(args.out)
-    ds, input_files = _load_dataset(args)
+    ds, digests = _load_dataset(args)
     class_list = args.classes
     images, labels = _select_source_classes(ds, class_list, args.per_class, args.seed)
     x = data.preprocess_split(images, args.size)
@@ -149,18 +155,18 @@ def cmd_pretrain(args):
     nn.save_weights(trained, args.out)
     record_path = args.out + ".record.csv"
     record.to_csv(record_path)
-    _write_manifest(args.out + ".manifest.json", args, input_files, [args.out, record_path])
+    _write_manifest(args.out + ".manifest.json", args, digests, [args.out, record_path])
     last = record.epochs[-1].train_loss if record.epochs else float("nan")
     print(f"pretrained on {len(labels)} samples / {len(class_list)} classes; "
           f"final epoch loss {last:.4f}; weights -> {args.out}")
     return 0
 
 
-def _write_task(path, anomaly_class, seed, indices, input_files):
+def _write_task(path, anomaly_class, seed, indices, digests):
     doc = {
         "anomaly_class": anomaly_class,
         "seed": seed,
-        "inputs": {p: _sha256(p) for p in input_files},
+        "inputs": digests,
         "indices": {k: v.tolist() for k, v in indices.items()},
     }
     with open(path, "w") as f:
@@ -171,11 +177,11 @@ def _write_task(path, anomaly_class, seed, indices, input_files):
 TASK_SPLITS = ("train_normal", "train_anomalous", "test_normal", "test_anomalous")
 
 
-def _resolve_task(path, ds, input_files):
+def _resolve_task(path, ds, digests):
     """The checked int64 sample indices into ds of each of TASK_SPLITS.
 
     A task that records dataset digests must have been made on files with
-    the same contents as input_files, the files ds was loaded from.
+    the same contents as those ds was loaded from, digests ({path: digest}).
     """
     with open(path) as f:
         try:
@@ -191,10 +197,10 @@ def _resolve_task(path, ds, input_files):
     if not isinstance(raw, dict) or sorted(raw) != sorted(TASK_SPLITS):
         raise FormatError(f"task file {path}: indices must map exactly {', '.join(TASK_SPLITS)}")
     if "inputs" in doc:
-        digests = doc["inputs"]
-        if not isinstance(digests, dict) or not all(type(d) is str for d in digests.values()):
+        recorded = doc["inputs"]
+        if not isinstance(recorded, dict) or not all(type(d) is str for d in recorded.values()):
             raise FormatError(f"task file {path}: inputs must map paths to digests")
-        if sorted(digests.values()) != sorted(map(_sha256, input_files)):
+        if sorted(recorded.values()) != sorted(digests.values()):
             raise FormatError(f"task file {path}: recorded digests differ from the loaded dataset's files")
     n = len(ds)
     for k, v in raw.items():
@@ -234,12 +240,12 @@ def _check_task_invariants(path, labels, idx, anomaly_class):
 
 def cmd_make_task(args):
     _make_parent_dirs(args.out)
-    ds, input_files = _load_dataset(args)
+    ds, digests = _load_dataset(args)
     indices = data.anomaly_task_indices(
         ds.labels, args.anomaly_class, args.train_per_class, args.test_per_class, args.seed
     )
-    _write_task(args.out, args.anomaly_class, args.seed, indices, input_files)
-    _write_manifest(args.out + ".manifest.json", args, input_files, [args.out])
+    _write_task(args.out, args.anomaly_class, args.seed, indices, digests)
+    _write_manifest(args.out + ".manifest.json", args, digests, [args.out])
     print(f"task: anomaly class {args.anomaly_class}, "
           f"{args.train_per_class}/{args.train_per_class} train, "
           f"{args.test_per_class}/{args.test_per_class} test -> {args.out}")
@@ -247,8 +253,8 @@ def cmd_make_task(args):
 
 
 def cmd_validate_task(args):
-    ds, input_files = _load_dataset(args)
-    _resolve_task(args.task, ds, input_files)
+    ds, digests = _load_dataset(args)
+    _resolve_task(args.task, ds, digests)
     print(f"task {args.task} passes all invariant checks")
     return 0
 
@@ -316,9 +322,9 @@ def _checked_report(net, normal, anomalous, threshold):
 
 def cmd_transfer(args):
     _make_parent_dirs(args.out)
-    ds, input_files = _load_dataset(args)
+    ds, digests = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
-    idx = _resolve_task(args.task, ds, input_files)
+    idx = _resolve_task(args.task, ds, digests)
     model, config, depth = _detector(args, source, args.seed, args.model_selection)
     train = [idx["train_normal"], idx["train_anomalous"]]
     features = _feature_lookup(model, transfer.frozen_prefix_length(model), ds.images, train)
@@ -327,7 +333,7 @@ def cmd_transfer(args):
     record_path = args.out + ".record.csv"
     record.to_csv(record_path)
     _write_manifest(
-        args.out + ".manifest.json", args, input_files + [args.source_weights, args.task],
+        args.out + ".manifest.json", args, {**digests, **_digests(args.source_weights, args.task)},
         [args.out, record_path], freeze_depth=depth, size=list(model.input_shape[1:]),
     )
     sel = record.selected_epoch
@@ -339,9 +345,9 @@ def cmd_transfer(args):
 
 
 def cmd_evaluate(args):
-    ds, input_files = _load_dataset(args)
+    ds, digests = _load_dataset(args)
     model = nn.load_weights(args.weights)
-    idx = _resolve_task(args.task, ds, input_files)
+    idx = _resolve_task(args.task, ds, digests)
     test = [data.gather(ds.images, idx[s]) for s in TASK_SPLITS[2:]]
     scored, report = _checked_report(
         model, *(data.preprocess_split(x, model.input_shape[1:]) for x in test), args.threshold
@@ -356,7 +362,7 @@ def cmd_evaluate(args):
     write_scores_csv(scored, scores_path)
     _write_manifest(
         os.path.join(args.out_dir, "evaluate.manifest.json"), args,
-        input_files + [args.weights, args.task], [report_path, roc_path, scores_path],
+        {**digests, **_digests(args.weights, args.task)}, [report_path, roc_path, scores_path],
         size=list(model.input_shape[1:]),
     )
 
@@ -375,7 +381,7 @@ def cmd_evaluate(args):
 
 
 def cmd_benchmark(args):
-    ds, input_files = _load_dataset(args)
+    ds, digests = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -396,7 +402,7 @@ def cmd_benchmark(args):
     outputs = []
     for cls, idx in zip(classes, tasks):
         task_path = os.path.join(args.out_dir, f"task_{cls}.json")
-        _write_task(task_path, cls, args.seed, idx, input_files)
+        _write_task(task_path, cls, args.seed, idx, digests)
 
         model, config, depth = _detector(args, source, args.seed + cls, transfer.SELECT_BEST_VAL_AUC)
         trained, record = transfer.train_suffix(
@@ -427,7 +433,7 @@ def cmd_benchmark(args):
     outputs.append(csv_path)
     _write_manifest(
         os.path.join(args.out_dir, "benchmark.manifest.json"), args,
-        input_files + [args.source_weights], outputs, freeze_depth=depth,
+        {**digests, **_digests(args.source_weights)}, outputs, freeze_depth=depth,
         size=list(source.input_shape[1:]),
     )
     print(f"mean AUC over {len(rows)} one-vs-rest classes: {mean:.6f} -> {csv_path}")

@@ -95,6 +95,8 @@ def load_idx(images_path, labels_path):
     count = _be_u32(blob, 4, "image count", images_path)
     rows = _be_u32(blob, 8, "row count", images_path)
     cols = _be_u32(blob, 12, "column count", images_path)
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{images_path}: image size {rows}x{cols} must be positive")
     need = 16 + count * rows * cols
     if len(blob) < need:
         raise FormatError(

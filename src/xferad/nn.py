@@ -404,6 +404,8 @@ def _unpack_record(blob, off):
     if off + 4 * rank > end:
         raise FormatError(f"weight file truncated at byte {off}: extents of {name}")
     extents = struct.unpack_from(f"<{rank}I", blob, off)
+    if 0 in extents:
+        raise FormatError(f"record {name} at byte {off} has a zero extent: {extents}")
     off += 4 * rank
     n = int(np.prod(extents)) if rank else 1
     if off + 4 * n > end:
@@ -422,6 +424,8 @@ def _rebuild_model(by_name, order):
     hw = by_name[_META_INPUT_HW]
     if hw.shape != (2,):
         raise FormatError(f"shape-manifest mismatch: {_META_INPUT_HW} has extents {hw.shape}")
+    if (hw < 1).any() or (hw != np.floor(hw)).any():
+        raise FormatError(f"{_META_INPUT_HW} {hw.tolist()} is not two whole numbers >= 1")
     H, W = int(hw[0]), int(hw[1])
 
     conv_names = []

@@ -88,6 +88,16 @@ def test_pretrain_rerun_is_byte_identical(corpus, tmp_path):
     assert open(a + ".record.csv").read() == open(b + ".record.csv").read()
 
 
+def test_pretrain_on_zero_sized_idx_images_exits_format(tmp_path):
+    imgs, lbls = tmp_path / "i", tmp_path / "l"
+    imgs.write_bytes(struct.pack(">IIII", 0x803, 2, 0, 16))
+    lbls.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+    out = tmp_path / "s.xfaw"
+    assert main(["pretrain", "--images", str(imgs), "--labels", str(lbls), "--classes", "0,1",
+                 "--per-class", "1", "--epochs", "1", "--out", str(out)]) == EXIT_FORMAT
+    assert not out.exists()
+
+
 def test_make_task_sizes_and_determinism(corpus, task_file, tmp_path):
     doc = json.load(open(task_file))
     idx = doc["indices"]
@@ -433,6 +443,31 @@ def test_command_preprocesses_each_used_sample_once(two_class_corpus, source_wei
             used[indices[s]] = True
     assert 0 < used.sum() < len(ds)
     assert np.array_equal(counts, used.astype(np.int64))
+
+
+@pytest.mark.parametrize("command", ["benchmark", "transfer", "evaluate", "make-task"])
+def test_command_hashes_each_input_file_once(corpus, source_weights, task_file, tmp_path,
+                                             monkeypatch, command):
+    detector = str(tmp_path / "detector.xfaw")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+    out = tmp_path / "out"
+    extra, inputs = {
+        "benchmark": (["--source-weights", source_weights, "--train-per-class", "10",
+                       "--test-per-class", "2", "--epochs", "0", "--out-dir", str(out)],
+                      [source_weights]),
+        "transfer": (["--source-weights", source_weights, "--task", task_file,
+                      "--epochs", "0", "--out", str(out / "w.xfaw")],
+                     [source_weights, task_file]),
+        "evaluate": (["--weights", detector, "--task", task_file, "--out-dir", str(out)],
+                     [detector, task_file]),
+        "make-task": (["--anomaly-class", "1", "--train-per-class", "4",
+                       "--test-per-class", "2", "--out", str(out / "t.json")], []),
+    }[command]
+    hashed = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+    assert main([command, *dataset_flags(corpus), *extra]) == 0
+    assert sorted(hashed) == sorted([corpus["images"], corpus["labels"], *inputs])
 
 
 @pytest.mark.parametrize("tamper", [

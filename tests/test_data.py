@@ -62,6 +62,13 @@ def test_idx_count_disagreement(tmp_path):
         data.load_idx(p_img, p_lbl)
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 4), (2, 4, 0)])
+def test_idx_image_size_must_be_positive(tmp_path, shape):
+    p_img, p_lbl = write_idx_pair(tmp_path, np.zeros(shape, np.uint8), np.zeros(2, np.uint8))
+    with pytest.raises(FormatError, match="must be positive"):
+        data.load_idx(p_img, p_lbl)
+
+
 def test_idx_write_read_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     imgs = rng.integers(0, 256, size=(5, 1, 9, 7)).astype(np.uint8)

@@ -369,6 +369,33 @@ def test_non_finite_value_under_a_valid_crc_is_format_error(tmp_path, value):
         nn.load_weights(path)
 
 
+def write_weight_records(path, records):
+    """A weight file holding [(name, array)] records under a valid crc."""
+    body = b"XFAW" + struct.pack("<II", 1, len(records))
+    body += b"".join(nn._pack_record(name, arr) for name, arr in records)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def test_zero_extent_record_under_a_valid_crc_is_format_error(tmp_path):
+    records = [(n, p.data) for n, p in small_model().named_parameters()]
+    records[0] = ("conv1.weight", np.zeros((16, 3, 0, 0), np.float32))
+    records.append(("__meta__.input_hw", np.array([32, 32], np.float32)))
+    path = tmp_path / "model.xfaw"
+    write_weight_records(path, records)
+    with pytest.raises(FormatError, match="conv1.weight .*zero extent"):
+        nn.load_weights(path)
+
+
+@pytest.mark.parametrize("hw", [[16.6, 16], [16, 0]])
+def test_non_whole_input_size_under_a_valid_crc_is_format_error(tmp_path, hw):
+    records = [(n, p.data) for n, p in small_model().named_parameters()]
+    records.append(("__meta__.input_hw", np.array(hw, np.float32)))
+    path = tmp_path / "model.xfaw"
+    write_weight_records(path, records)
+    with pytest.raises(FormatError, match="input_hw .*whole numbers"):
+        nn.load_weights(path)
+
+
 def test_undecodable_record_name_is_format_error(tmp_path):
     path = tmp_path / "model.xfaw"
     nn.save_weights(small_model(), path)
