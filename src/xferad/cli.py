@@ -259,8 +259,14 @@ def cmd_validate_task(args):
     return 0
 
 
-def _freeze_policy(args, source):
-    """(strategy, FreezePolicy) that --strategy and --freeze-depth set."""
+def _detector(args, source, seed, model_selection):
+    """Put a fresh 2-neuron head on source and freeze it as --strategy and
+    --freeze-depth set.
+
+    Returns (model, the TransferConfig that trains it, freeze depth).
+    Every detector of one source has source's frozen prefix, bit for bit:
+    replace_head copies the layers and apply_freeze only flips flags.
+    """
     fixed = transfer.FreezePolicy.fixed_extractor(source)
     if args.strategy == "fixed":
         if args.freeze_depth not in (None, fixed.frozen_layer_count):
@@ -272,17 +278,6 @@ def _freeze_policy(args, source):
     else:
         depth = fixed.frozen_layer_count - 1 if args.freeze_depth is None else args.freeze_depth
         strategy, policy = transfer.STRATEGY_FINE_TUNE, transfer.FreezePolicy(depth)
-    return strategy, policy
-
-
-def _detector(args, source, seed, model_selection):
-    """Put a fresh 2-neuron head on source and freeze it per _freeze_policy.
-
-    Returns (model, the TransferConfig that trains it, freeze depth).
-    Every detector of one source has source's frozen prefix, bit for bit:
-    replace_head copies the layers and apply_freeze only flips flags.
-    """
-    strategy, policy = _freeze_policy(args, source)
     model = transfer.apply_freeze(transfer.replace_head(source, 2, seed), policy)
     config = transfer.TransferConfig(
         strategy=strategy, freeze=policy, lr0=args.lr, epochs=args.epochs, seed=seed,
@@ -382,6 +377,8 @@ def cmd_evaluate(args):
 
 def cmd_benchmark(args):
     ds, digests = _load_dataset(args)
+    if not len(ds):
+        raise CapacityError("dataset has no images: no one-vs-rest task to benchmark")
     source = nn.load_weights(args.source_weights)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -392,19 +389,21 @@ def cmd_benchmark(args):
         )
         for cls in classes
     ]
+    detectors = [
+        _detector(args, source, args.seed + cls, transfer.SELECT_BEST_VAL_AUC) for cls in classes
+    ]
     # every detector shares source's frozen prefix (see _detector), so one
     # lookup over all tasks serves them all
-    frozen = transfer.apply_freeze(source, _freeze_policy(args, source)[1])
-    k = transfer.frozen_prefix_length(frozen)
-    features = _feature_lookup(frozen, k, ds.images, [ix for idx in tasks for ix in idx.values()])
+    first = detectors[0][0]
+    k = transfer.frozen_prefix_length(first)
+    features = _feature_lookup(first, k, ds.images, [ix for idx in tasks for ix in idx.values()])
 
     rows = []
     outputs = []
-    for cls, idx in zip(classes, tasks):
+    for cls, idx, (model, config, depth) in zip(classes, tasks, detectors):
         task_path = os.path.join(args.out_dir, f"task_{cls}.json")
         _write_task(task_path, cls, args.seed, idx, digests)
 
-        model, config, depth = _detector(args, source, args.seed + cls, transfer.SELECT_BEST_VAL_AUC)
         trained, record = transfer.train_suffix(
             model, features(idx["train_normal"]), features(idx["train_anomalous"]), config
         )

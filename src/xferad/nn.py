@@ -42,10 +42,6 @@ class Layer:
         """Named parameter tensors of this layer ({} when parameter-free)."""
         return {}
 
-    def out_shape(self, in_shape):
-        """Symbolic shape pass: (C,H,W) or (features,) in, same out."""
-        raise NotImplementedError
-
     def forward(self, x, tape=None):
         raise NotImplementedError
 
@@ -64,18 +60,6 @@ class Conv2d(Layer):
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def out_shape(self, in_shape):
-        if len(in_shape) != 3:
-            raise ShapeError(f"conv expects (C,H,W) input, got {in_shape}")
-        C, H, W = in_shape
-        F, Cw, kh, kw = self.weight.shape
-        if C != Cw:
-            raise ShapeError(f"conv expects {Cw} channels, got {C}")
-        Hp, Wp = H + 2, W + 2
-        if kh > Hp or kw > Wp:
-            raise ShapeError(f"conv kernel {kh}x{kw} larger than padded input {Hp}x{Wp}")
-        return (F, Hp - kh + 1, Wp - kw + 1)
-
     def forward(self, x, tape=None):
         return T.conv2d(x, self.weight, self.bias, 1, 1, tape)
 
@@ -91,22 +75,12 @@ class Dense(Layer):
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def out_shape(self, in_shape):
-        if len(in_shape) != 1 or in_shape[0] != self.weight.shape[0]:
-            raise ShapeError(
-                f"dense expects ({self.weight.shape[0]},) input, got {in_shape}"
-            )
-        return (self.weight.shape[1],)
-
     def forward(self, x, tape=None):
         return T.add(T.matmul(x, self.weight, tape), self.bias, tape)
 
 
 class Relu(Layer):
     kind = "relu"
-
-    def out_shape(self, in_shape):
-        return in_shape
 
     def forward(self, x, tape=None):
         return T.relu(x, tape)
@@ -117,25 +91,12 @@ class MaxPool2d(Layer):
 
     kind = "maxpool"
 
-    def out_shape(self, in_shape):
-        if len(in_shape) != 3:
-            raise ShapeError(f"maxpool expects (C,H,W) input, got {in_shape}")
-        C, H, W = in_shape
-        if H < 2 or W < 2:
-            raise ShapeError(f"maxpool window 2 exceeds {H}x{W}")
-        return (C, H // 2, W // 2)
-
     def forward(self, x, tape=None):
         return T.maxpool2d(x, 2, 2, tape)
 
 
 class GlobalAvgPool(Layer):
     kind = "globalavgpool"
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != 3:
-            raise ShapeError(f"globalavgpool expects (C,H,W) input, got {in_shape}")
-        return (in_shape[0],)
 
     def forward(self, x, tape=None):
         return T.global_avg_pool(x, tape)
@@ -152,21 +113,28 @@ class ModelGraph:
     """Ordered layer pipeline with validated shape composition.
 
     The last layer must be the graph's only Dense layer and it must emit
-    num_classes logits.
+    num_classes logits. The layers' own ops check that they compose: the
+    constructor runs one empty batch through them, tape-free, and keeps
+    the per-sample shape entering each layer for suffix.
     """
 
     def __init__(self, layers, input_shape, num_classes):
         self.layers = list(layers)
         self.input_shape = tuple(int(s) for s in input_shape)
         self.num_classes = int(num_classes)
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = layer.out_shape(shape)
         dense_positions = [i for i, l in enumerate(self.layers) if l.kind == "dense"]
         if dense_positions != [len(self.layers) - 1]:
             raise ShapeError("model must end with its single dense logits layer")
-        if shape != (self.num_classes,):
-            raise ShapeError(f"final layer produces {shape}, expected ({self.num_classes},)")
+        x = T.Tensor(np.zeros((0, *self.input_shape), np.float32))
+        self._in_shapes = []
+        for i, layer in enumerate(self.layers):
+            self._in_shapes.append(x.shape[1:])
+            try:
+                x = layer.forward(x)
+            except ShapeError as e:
+                raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
+        if x.shape[1:] != (self.num_classes,):
+            raise ShapeError(f"final layer produces {x.shape[1:]}, expected ({self.num_classes},)")
 
     def forward(self, batch, tape=None, upto=None):
         """Run the network on a [N, *input_shape] tensor.
@@ -192,10 +160,7 @@ class ModelGraph:
         """
         if start == 0:
             return self
-        shape = self.input_shape
-        for layer in self.layers[:start]:
-            shape = layer.out_shape(shape)
-        return ModelGraph(self.layers[start:], shape, self.num_classes)
+        return ModelGraph(self.layers[start:], self._in_shapes[start], self.num_classes)
 
     def parameterized_layers(self):
         return [l for l in self.layers if l.params()]
@@ -225,6 +190,7 @@ class ModelGraph:
         clone = object.__new__(ModelGraph)
         clone.input_shape = self.input_shape
         clone.num_classes = self.num_classes
+        clone._in_shapes = self._in_shapes
         clone.layers = []
         for layer in self.layers:
             lc = object.__new__(type(layer))

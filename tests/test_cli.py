@@ -17,6 +17,8 @@ from xferad.errors import (
     ContractError, FormatError, ShapeError, UndefinedMetricError, XferadError,
 )
 
+from test_nn import mismatched_weight_records, write_weight_records
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -227,6 +229,15 @@ def test_evaluate_nan_head_under_a_valid_crc_exits_format(corpus, source_weights
     assert not out.exists()
 
 
+def test_evaluate_weights_whose_shapes_do_not_compose_exit_format(corpus, task_file, tmp_path):
+    path = tmp_path / "mismatched.xfaw"
+    write_weight_records(path, mismatched_weight_records("conv2-8-channels"))
+    out = tmp_path / "out"
+    assert main(["evaluate", *dataset_flags(corpus), "--weights", str(path),
+                 "--task", task_file, "--out-dir", str(out)]) == EXIT_FORMAT
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
 def test_diverging_pretrain_exits_1_and_writes_nothing(corpus, tmp_path, capsys):
     out = tmp_path / "source.xfaw"
@@ -346,6 +357,16 @@ def test_benchmark_csv_structure(corpus, source_weights, tmp_path):
     for cls in range(10):
         assert json.load(open(f"{out_dir}/report_{cls}.json"))["auc"] == aucs[cls]
         nn.load_weights(f"{out_dir}/weights_{cls}.xfaw")
+
+
+def test_benchmark_on_an_empty_corpus_exits_capacity(source_weights, tmp_path):
+    imgs, lbls = tmp_path / "i", tmp_path / "l"
+    imgs.write_bytes(struct.pack(">IIII", 0x803, 0, 16, 16))
+    lbls.write_bytes(struct.pack(">II", 0x801, 0))
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--images", str(imgs), "--labels", str(lbls),
+                 "--source-weights", source_weights, "--out-dir", str(out_dir)]) == EXIT_CAPACITY
+    assert not out_dir.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from xferad import nn
+from xferad import nn, transfer
 from xferad import tensor as T
 from xferad.errors import ContractError, FormatError, ShapeError
 
@@ -65,15 +65,47 @@ def test_batch_independence_row0():
     assert np.allclose(row_alone, row_in_batch, atol=1e-5)
 
 
-def test_suffix_shares_layers_and_continues_the_forward_pass():
-    m = small_model()
+def block(in_channels, filters, kernel=3):
+    return [nn.Conv2d(in_channels, filters, kernel), nn.Relu(), nn.MaxPool2d()]
+
+
+# each graph breaks one composition rule, which its id names
+@pytest.mark.parametrize("layers, input_shape, num_classes", [
+    pytest.param(block(3, 16) + block(8, 16) + [nn.GlobalAvgPool(), nn.Dense(16, 4)],
+                 (3, 16, 16), 4, id="conv-channels-differ-between-blocks"),
+    pytest.param(block(3, 16) + [nn.GlobalAvgPool(), nn.Dense(8, 4)],
+                 (3, 16, 16), 4, id="dense-width-differs-from-conv-filters"),
+    pytest.param(block(3, 16) + [nn.GlobalAvgPool(), nn.Dense(16, 4)],
+                 (3, 16, 16), 5, id="logits-differ-from-num-classes"),
+    pytest.param(block(3, 16) + block(16, 16) + [nn.GlobalAvgPool(), nn.Dense(16, 4)],
+                 (3, 2, 2), 4, id="pooling-below-1x1"),
+    pytest.param(block(3, 16) + [nn.Dense(16, 4)], (3, 16, 16), 4, id="dense-before-gap"),
+    pytest.param([nn.Conv2d(12, 16), nn.GlobalAvgPool(), nn.Dense(16, 4)],
+                 (12,), 4, id="conv-on-flat-input"),
+    pytest.param([nn.GlobalAvgPool(), nn.Dense(12, 4)], (12,), 4, id="gap-on-flat-input"),
+    pytest.param(block(3, 16, kernel=5) + [nn.GlobalAvgPool(), nn.Dense(16, 4)],
+                 (3, 2, 2), 4, id="kernel-larger-than-padded-input"),
+])
+def test_model_graph_rejects_a_broken_composition(layers, input_shape, num_classes):
+    with pytest.raises(ShapeError):
+        nn.ModelGraph(layers, input_shape, num_classes)
+
+
+def assert_suffixes_continue_the_forward_pass(m, x):
     assert m.suffix(0) is m
-    x = T.Tensor(np.random.default_rng(3).random((2, 3, 32, 32), dtype=np.float32))
-    for k in (3, 6, 10):
+    for k in range(len(m.layers)):
         tail = m.suffix(k)
         assert all(a is b for a, b in zip(tail.layers, m.layers[k:]))
         assert tail.input_shape == m.forward(x, upto=k).shape[1:]
         assert np.array_equal(tail.forward(m.forward(x, upto=k)).data, m.forward(x).data)
+
+
+def test_suffix_shares_layers_and_continues_the_forward_pass():
+    m = small_model()
+    x = T.Tensor(np.random.default_rng(3).random((2, 3, 32, 32), dtype=np.float32))
+    assert_suffixes_continue_the_forward_pass(m, x)
+    detector = transfer.apply_freeze(transfer.replace_head(m, 2, seed=0), transfer.FreezePolicy(2))
+    assert_suffixes_continue_the_forward_pass(detector, x)
 
 
 def test_forward_without_record_cannot_backprop():
@@ -393,6 +425,28 @@ def test_non_whole_input_size_under_a_valid_crc_is_format_error(tmp_path, hw):
     path = tmp_path / "model.xfaw"
     write_weight_records(path, records)
     with pytest.raises(FormatError, match="input_hw .*whole numbers"):
+        nn.load_weights(path)
+
+
+def mismatched_weight_records(case):
+    """A small_model's records (input 32x32) with one shape made inconsistent."""
+    records = {n: p.data for n, p in small_model().named_parameters()}
+    records["__meta__.input_hw"] = np.array([32, 32], np.float32)
+    name, arr = {
+        "conv2-8-channels": ("conv2.weight", np.zeros((16, 8, 3, 3), np.float32)),
+        "dense-16-rows": ("dense.weight", np.zeros((16, 8), np.float32)),
+        "input-4x4": ("__meta__.input_hw", np.array([4, 4], np.float32)),
+        "input-1x1": ("__meta__.input_hw", np.array([1, 1], np.float32)),
+    }[case]
+    records[name] = arr
+    return list(records.items())
+
+
+@pytest.mark.parametrize("case", ["conv2-8-channels", "dense-16-rows", "input-4x4", "input-1x1"])
+def test_shapes_that_do_not_compose_under_a_valid_crc_are_format_error(tmp_path, case):
+    path = tmp_path / "model.xfaw"
+    write_weight_records(path, mismatched_weight_records(case))
+    with pytest.raises(FormatError):
         nn.load_weights(path)
 
 
