@@ -41,7 +41,7 @@ print("anomaly class present in normal split:", 9 in mix)
 
 # preprocessing: replicate grayscale to RGB first, then bilinear-resize
 img = task.train_normal[0]
-out = data.preprocess(img, (32, 32))
+out = data.preprocess_split([img], (32, 32))[0]
 print(f"\npreprocess: {img.shape} -> {out.shape}, "
       f"channels identical: {np.array_equal(out[0], out[1])}, "
       f"range [{out.min():.3f}, {out.max():.3f}]")

@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .data import (  # noqa: F401
     AnomalyTask, LabeledImageSet, batch_iter, build_anomaly_task, load_idx,
-    load_image_dir, preprocess, write_idx,
+    load_image_dir, write_idx,
 )
 from .errors import (  # noqa: F401
     CapacityError, ConsistencyError, ContractError, FormatError, ShapeError,

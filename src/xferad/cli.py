@@ -263,27 +263,24 @@ def _detector(args, source, seed, model_selection):
     """Put a fresh 2-neuron head on source and freeze it as --strategy and
     --freeze-depth set.
 
-    Returns (model, the TransferConfig that trains it, freeze depth).
-    Every detector of one source has source's frozen prefix, bit for bit:
-    replace_head copies the layers and apply_freeze only flips flags.
+    Returns (model, the TransferConfig that trains it, k): k is the frozen
+    prefix length transfer.check_target finds. Every detector of one source
+    has source's frozen prefix, bit for bit: replace_head copies the layers
+    and apply_freeze only flips flags.
     """
-    fixed = transfer.FreezePolicy.fixed_extractor(source)
-    if args.strategy == "fixed":
-        if args.freeze_depth not in (None, fixed.frozen_layer_count):
-            raise ContractError(
-                f"--strategy fixed freezes all {fixed.frozen_layer_count} non-head layers; "
-                f"--freeze-depth {args.freeze_depth} conflicts"
-            )
-        strategy, policy = transfer.STRATEGY_FIXED, fixed
-    else:
-        depth = fixed.frozen_layer_count - 1 if args.freeze_depth is None else args.freeze_depth
-        strategy, policy = transfer.STRATEGY_FINE_TUNE, transfer.FreezePolicy(depth)
+    fixed = args.strategy == "fixed"
+    depth = args.freeze_depth
+    if depth is None:
+        # fixed freezes every layer but the head; finetune also trains the last conv block
+        depth = len(source.parameterized_layers()) - (1 if fixed else 2)
+    policy = transfer.FreezePolicy(depth)
     model = transfer.apply_freeze(transfer.replace_head(source, 2, seed), policy)
     config = transfer.TransferConfig(
-        strategy=strategy, freeze=policy, lr0=args.lr, epochs=args.epochs, seed=seed,
+        strategy=transfer.STRATEGY_FIXED if fixed else transfer.STRATEGY_FINE_TUNE,
+        freeze=policy, lr0=args.lr, epochs=args.epochs, seed=seed,
         batch_size=args.batch_size, model_selection=model_selection,
     )
-    return model, config, policy.frozen_layer_count
+    return model, config, transfer.check_target(model, config)
 
 
 def _feature_lookup(model, k, images, splits):
@@ -320,9 +317,10 @@ def cmd_transfer(args):
     ds, digests = _load_dataset(args)
     source = nn.load_weights(args.source_weights)
     idx = _resolve_task(args.task, ds, digests)
-    model, config, depth = _detector(args, source, args.seed, args.model_selection)
+    model, config, k = _detector(args, source, args.seed, args.model_selection)
+    depth = config.freeze.frozen_layer_count
     train = [idx["train_normal"], idx["train_anomalous"]]
-    features = _feature_lookup(model, transfer.frozen_prefix_length(model), ds.images, train)
+    features = _feature_lookup(model, k, ds.images, train)
     trained, record = transfer.train_suffix(model, *map(features, train), config)
     nn.save_weights(trained, args.out)
     record_path = args.out + ".record.csv"
@@ -394,13 +392,12 @@ def cmd_benchmark(args):
     ]
     # every detector shares source's frozen prefix (see _detector), so one
     # lookup over all tasks serves them all
-    first = detectors[0][0]
-    k = transfer.frozen_prefix_length(first)
+    first, config, k = detectors[0]
     features = _feature_lookup(first, k, ds.images, [ix for idx in tasks for ix in idx.values()])
 
     rows = []
     outputs = []
-    for cls, idx, (model, config, depth) in zip(classes, tasks, detectors):
+    for cls, idx, (model, config, _) in zip(classes, tasks, detectors):
         task_path = os.path.join(args.out_dir, f"task_{cls}.json")
         _write_task(task_path, cls, args.seed, idx, digests)
 
@@ -432,8 +429,8 @@ def cmd_benchmark(args):
     outputs.append(csv_path)
     _write_manifest(
         os.path.join(args.out_dir, "benchmark.manifest.json"), args,
-        {**digests, **_digests(args.source_weights)}, outputs, freeze_depth=depth,
-        size=list(source.input_shape[1:]),
+        {**digests, **_digests(args.source_weights)}, outputs,
+        freeze_depth=config.freeze.frozen_layer_count, size=list(source.input_shape[1:]),
     )
     print(f"mean AUC over {len(rows)} one-vs-rest classes: {mean:.6f} -> {csv_path}")
     return 0

@@ -309,14 +309,6 @@ def gather(images, ix):
 _CHUNK_PIXELS = 256 * 32 * 32
 
 
-def preprocess(image, target_hw):
-    """Grayscale replication to 3 channels, then bilinear resize.
-
-    One [1|3,H,W] image through preprocess_split; values stay in [0,1].
-    """
-    return preprocess_split([image], target_hw)[0]
-
-
 def preprocess_split(images, target_hw):
     """Preprocess a sequence of [1|3,H,W] images into one stacked float32
     [N,3,H,W] array: grayscale replicated to 3 channels, then bilinear

@@ -209,48 +209,8 @@ def evaluate_scores(scored, threshold=0.5):
 # ---------------------------------------------------------------------------
 # serialization
 #
-# JSON schema (informal): see REPORT_SCHEMA. Non-finite thresholds are
-# stored as null in JSON ("+inf" start of the sweep) to stay strict-JSON
-# parseable, and restored to inf on load.
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "auc", "threshold", "score_convention", "confusion", "metrics", "roc",
-    ],
-    "properties": {
-        "auc": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-        "threshold": {"type": "number"},
-        "score_convention": {"type": "string"},
-        "confusion": {
-            "type": "object",
-            "required": ["tp", "fn", "fp", "tn"],
-            "properties": {k: {"type": "integer", "minimum": 0} for k in ("tp", "fn", "fp", "tn")},
-        },
-        "metrics": {
-            "type": "object",
-            "required": ["anomalous", "normal"],
-            "patternProperties": {
-                ".*": {
-                    "type": "object",
-                    "required": ["precision", "recall", "f1"],
-                    "properties": {
-                        k: {"type": ["number", "null"]} for k in ("precision", "recall", "f1")
-                    },
-                },
-            },
-        },
-        "roc": {
-            "type": "object",
-            "required": ["fpr", "tpr", "thresholds"],
-            "properties": {
-                "fpr": {"type": "array", "items": {"type": "number"}},
-                "tpr": {"type": "array", "items": {"type": "number"}},
-                "thresholds": {"type": "array", "items": {"type": ["number", "null"]}},
-            },
-        },
-    },
-}
+# Non-finite thresholds are stored as null in JSON ("+inf" start of the
+# sweep) to stay strict-JSON parseable, and restored to inf on load.
 
 
 def report_to_dict(report):

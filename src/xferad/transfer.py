@@ -183,21 +183,27 @@ def replace_head(model, num_classes, seed):
     return out
 
 
+def _freeze_flags(model, policy):
+    """requires_grad of each of model.named_parameters() under policy;
+    ContractError if policy would freeze the head."""
+    layers = model.parameterized_layers()
+    k = policy.frozen_layer_count
+    if k < 0 or k > len(layers) - 1:
+        raise ContractError(
+            f"freeze depth {k} out of range: model has {len(layers)} parameterized layers "
+            "and the head must stay trainable"
+        )
+    return [i >= k for i, layer in enumerate(layers) for _ in layer.params()]
+
+
 def apply_freeze(model, policy):
     """Mark the first frozen_layer_count parameterized layers non-trainable.
 
     The head must stay trainable; the input model is untouched.
     """
     out = model.copy()
-    plist = out.parameterized_layers()
-    k = policy.frozen_layer_count
-    if k < 0 or k > len(plist) - 1:
-        raise ContractError(
-            f"freeze depth {k} out of range: model has {len(plist)} parameterized layers "
-            "and the head must stay trainable"
-        )
-    for i, layer in enumerate(plist):
-        layer.trainable = i >= k
+    for (_, p), flag in zip(out.named_parameters(), _freeze_flags(out, policy)):
+        p.requires_grad = flag
     return out
 
 
@@ -213,27 +219,6 @@ def _stratified_val_split(n_normal, n_anomalous, val_fraction, seed):
             )
         picks.append(np.sort(rng.permutation(n)[:k]))
     return picks
-
-
-def frozen_prefix_length(model):
-    """Index k of the first layer with trainable parameters.
-
-    layers[:k] cannot change during training. When every layer is frozen
-    k is the head's index. ContractError if a layer has some parameters
-    frozen and others trainable: the prefix would hide its trainable ones.
-    """
-    flags = {}
-    for name, p in model.named_parameters():
-        flags.setdefault(name.split(".")[0], set()).add(p.requires_grad)
-    for layer, f in flags.items():
-        if len(f) > 1:
-            raise ContractError(
-                f"layer {layer} is partly frozen; freeze all of its parameters or none"
-            )
-    for i, layer in enumerate(model.layers):
-        if layer.params() and layer.trainable:
-            return i
-    return len(model.layers) - 1
 
 
 def prefix_features(model, k, images, index):
@@ -258,25 +243,32 @@ def prefix_features(model, k, images, index):
     return out
 
 
-def _check_target(model, config):
-    """Frozen prefix length k of model; ContractError unless model is a
-    2-class target with a trainable head whose prefix suits config's
-    strategy."""
-    head = len(model.layers) - 1
+def check_target(model, config):
+    """Frozen prefix length k of a 2-class target model: the position of
+    parameterized layer number config.freeze.frozen_layer_count.
+
+    ContractError unless each parameter's requires_grad is the flag
+    apply_freeze(model, config.freeze) sets, which rejects a frozen head, a
+    partly frozen layer and a model frozen to another depth, and unless a
+    fixed_extractor config's depth leaves only the head trainable.
+    """
     if model.num_classes != 2:
         raise ContractError(f"target model must have 2 outputs, got {model.num_classes}")
-    if not model.layers[head].trainable:
+    depth = config.freeze.frozen_layer_count
+    positions = [i for i, layer in enumerate(model.layers) if layer.params()]
+    if config.strategy == STRATEGY_FIXED and depth != len(positions) - 1:
         raise ContractError(
-            f"the head (layer {head}, {model.layers[head].kind}) is frozen; "
-            "it must stay trainable"
+            f"fixed_extractor strategy needs freeze depth {len(positions) - 1} (every "
+            f"parameterized layer before the head), got {depth}"
         )
-    k = frozen_prefix_length(model)
-    if config.strategy == STRATEGY_FIXED and k != head:
-        raise ContractError(
-            "fixed_extractor strategy requires every layer except the head frozen "
-            f"(the frozen prefix holds {k} of the {head} layers before the head)"
-        )
-    return k
+    state = ("frozen", "trainable")
+    for (name, p), flag in zip(model.named_parameters(), _freeze_flags(model, config.freeze)):
+        if p.requires_grad != flag:
+            raise ContractError(
+                f"{name} is {state[p.requires_grad]}, but freeze depth {depth} "
+                f"makes it {state[flag]}"
+            )
+    return positions[depth]
 
 
 def train_target(model, task, config):
@@ -285,7 +277,7 @@ def train_target(model, task, config):
     Runs the frozen prefix once per train sample (prefix_features, which
     also preprocesses raw images), then train_suffix on those activations.
     """
-    k = _check_target(model, config)
+    k = check_target(model, config)
     splits = (task.train_normal, task.train_anomalous, task.test_normal, task.test_anomalous)
     if any(len(s) == 0 for s in splits):
         raise CapacityError("task splits must be non-empty")
@@ -296,14 +288,14 @@ def train_target(model, task, config):
 
 def train_suffix(model, normal, anomalous, config):
     """Train the 2-class target model on its train splits' activations
-    entering layer frozen_prefix_length(model) (see prefix_features).
+    entering layer check_target(model, config) (see prefix_features).
 
     Holds out a seeded stratified VAL_FRACTION of each split for per-epoch
     validation AUC (CapacityError if either part of a split would be empty,
     so an empty split too), trains the suffix with shuffled minibatches,
     and returns the model of the selected epoch plus the TrainRecord.
     """
-    k = _check_target(model, config)
+    k = check_target(model, config)
     val_n, val_a = _stratified_val_split(len(normal), len(anomalous), VAL_FRACTION, config.seed)
     train_n, train_a = np.delete(normal, val_n, axis=0), np.delete(anomalous, val_a, axis=0)
     y_train = np.repeat([0, 1], [len(train_n), len(train_a)])

@@ -328,7 +328,7 @@ def ref_bilinear(img, oh, ow):
 def test_preprocess_replicates_grayscale_then_resizes():
     rng = np.random.default_rng(1)
     img = rng.random((1, 28, 28), dtype=np.float32)
-    out = data.preprocess(img, (32, 32))
+    out = data.preprocess_split([img], (32, 32))[0]
     assert out.shape == (3, 32, 32)
     assert np.array_equal(out[0], out[1])
     assert np.array_equal(out[1], out[2])
@@ -337,12 +337,12 @@ def test_preprocess_replicates_grayscale_then_resizes():
 def test_preprocess_identity_resize_is_exact():
     rng = np.random.default_rng(2)
     img = rng.random((3, 17, 13), dtype=np.float32)
-    assert np.array_equal(data.preprocess(img, (17, 13)), img)
+    assert np.array_equal(data.preprocess_split([img], (17, 13))[0], img)
 
 
 def test_preprocess_constant_image_stays_constant():
     img = np.full((1, 10, 10), 0.5, np.float32)
-    out = data.preprocess(img, (23, 7))
+    out = data.preprocess_split([img], (23, 7))[0]
     assert np.allclose(out, 0.5, atol=1e-6)
 
 
@@ -350,7 +350,7 @@ def test_preprocess_output_range_and_channels():
     rng = np.random.default_rng(3)
     for c in (1, 3):
         img = rng.random((c, 9, 11), dtype=np.float32)
-        out = data.preprocess(img, (21, 5))
+        out = data.preprocess_split([img], (21, 5))[0]
         assert out.shape[0] == 3
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -420,7 +420,7 @@ def test_preprocess_split_of_a_ragged_list():
     shapes = [(1, 28, 28), (1, 28, 28), (3, 32, 32), (1, 9, 11), (1, 28, 28), (3, 12, 40)]
     images = [rng.random(s, dtype=np.float32) for s in shapes]
     assert_preprocess_matches_oracle(images, (16, 16))
-    assert np.array_equal(data.preprocess(images[3], (16, 16)),
+    assert np.array_equal(data.preprocess_split([images[3]], (16, 16))[0],
                           data.preprocess_split(images, (16, 16))[3])
 
 

@@ -268,6 +268,47 @@ def test_report_json_roundtrip(tmp_path):
     assert reports_equal(report, ev.load_report(path))
 
 
+# the structure emit_report(..., "json") writes
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": [
+        "auc", "threshold", "score_convention", "confusion", "metrics", "roc",
+    ],
+    "properties": {
+        "auc": {"type": "number", "minimum": 0.0, "maximum": 1.0},
+        "threshold": {"type": "number"},
+        "score_convention": {"type": "string"},
+        "confusion": {
+            "type": "object",
+            "required": ["tp", "fn", "fp", "tn"],
+            "properties": {k: {"type": "integer", "minimum": 0} for k in ("tp", "fn", "fp", "tn")},
+        },
+        "metrics": {
+            "type": "object",
+            "required": ["anomalous", "normal"],
+            "patternProperties": {
+                ".*": {
+                    "type": "object",
+                    "required": ["precision", "recall", "f1"],
+                    "properties": {
+                        k: {"type": ["number", "null"]} for k in ("precision", "recall", "f1")
+                    },
+                },
+            },
+        },
+        "roc": {
+            "type": "object",
+            "required": ["fpr", "tpr", "thresholds"],
+            "properties": {
+                "fpr": {"type": "array", "items": {"type": "number"}},
+                "tpr": {"type": "array", "items": {"type": "number"}},
+                "thresholds": {"type": "array", "items": {"type": ["number", "null"]}},
+            },
+        },
+    },
+}
+
+
 def test_report_json_validates_against_schema(tmp_path):
     import json
     import jsonschema
@@ -275,7 +316,7 @@ def test_report_json_validates_against_schema(tmp_path):
     report, _ = sample_report()
     path = tmp_path / "report.json"
     ev.emit_report(report, path, "json")
-    jsonschema.validate(json.loads(path.read_text()), ev.REPORT_SCHEMA)
+    jsonschema.validate(json.loads(path.read_text()), REPORT_SCHEMA)
 
 
 def test_roc_csv_rows_match_curve_points(tmp_path):

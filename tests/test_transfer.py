@@ -151,7 +151,8 @@ def test_fixed_strategy_requires_full_freeze():
     m = transfer.apply_freeze(tgt, policy)
     config = transfer.TransferConfig(strategy=transfer.STRATEGY_FIXED, freeze=policy,
                                      epochs=1, seed=0)
-    with pytest.raises(ContractError, match="fixed_extractor"):
+    with pytest.raises(ContractError, match=r"fixed_extractor strategy needs freeze depth 3 "
+                       r"\(every parameterized layer before the head\), got 1"):
         transfer.train_target(m, blob_task(), config)
 
 
@@ -162,31 +163,52 @@ def test_train_target_rejects_a_frozen_head_before_any_work(monkeypatch, strateg
                                                             epochs):
     policy = transfer.FreezePolicy(depth)
     m = transfer.apply_freeze(transfer.replace_head(small_source(), 2, seed=0), policy)
-    for layer in m.parameterized_layers():
-        layer.trainable = False
+    m.layers[-1].trainable = False
     config = transfer.TransferConfig(strategy=strategy, freeze=policy, epochs=epochs, seed=0)
 
     def no_work(*args):
         raise AssertionError("prefix features computed before the checks")
 
     monkeypatch.setattr(transfer, "prefix_features", no_work)
-    with pytest.raises(ContractError, match=r"head \(layer 10, dense\) is frozen"):
+    message = rf"dense\.weight is frozen, but freeze depth {depth} makes it trainable"
+    with pytest.raises(ContractError, match=message):
         transfer.train_target(m, blob_task(), config)
 
 
-@pytest.mark.parametrize("fit", ["train_target", "train_suffix"])
-def test_partly_frozen_layer_rejected_before_any_work(monkeypatch, fit):
-    policy = transfer.FreezePolicy(2)
-    m = transfer.apply_freeze(transfer.replace_head(small_source(), 2, seed=0), policy)
-    dict(m.named_parameters())["conv3.bias"].requires_grad = False
-    config = transfer.TransferConfig(freeze=policy, epochs=1, seed=0)
+# Models whose freeze flags disagree with config.freeze: (the depth the
+# model is frozen at, parameters then frozen by hand, config strategy and
+# depth, the message). The first is a partly frozen layer; in the other two
+# the model is frozen to another depth than config.freeze.
+MISFROZEN = {
+    "partly": (2, ["conv3.bias"], transfer.STRATEGY_FINE_TUNE, 2,
+               r"conv3\.bias is frozen, but freeze depth 2 makes it trainable"),
+    "finetune_config_deeper": (1, [], transfer.STRATEGY_FINE_TUNE, 3,
+                               r"conv2\.weight is trainable, but freeze depth 3 makes it frozen"),
+    "fixed_config_depth0": (3, [], transfer.STRATEGY_FIXED, 0,
+                            r"fixed_extractor strategy needs freeze depth 3 "
+                            r"\(every parameterized layer before the head\), got 0"),
+}
+
+
+@pytest.mark.parametrize("fit,case", [
+    pytest.param(fit, case, id=fit if case == "partly" else f"{fit}-{case}")
+    for case in MISFROZEN for fit in ("train_target", "train_suffix")
+])
+def test_partly_frozen_layer_rejected_before_any_work(monkeypatch, fit, case):
+    frozen_at, frozen_by_hand, strategy, depth, message = MISFROZEN[case]
+    m = transfer.apply_freeze(transfer.replace_head(small_source(), 2, seed=0),
+                              transfer.FreezePolicy(frozen_at))
+    for name in frozen_by_hand:
+        dict(m.named_parameters())[name].requires_grad = False
+    config = transfer.TransferConfig(strategy=strategy, freeze=transfer.FreezePolicy(depth),
+                                     epochs=1, seed=0)
 
     def no_work(*args):
         raise AssertionError("prefix features computed before the checks")
 
     monkeypatch.setattr(transfer, "prefix_features", no_work)
     task = blob_task()
-    with pytest.raises(ContractError, match="layer conv3 is partly frozen"):
+    with pytest.raises(ContractError, match=message):
         if fit == "train_target":
             transfer.train_target(m, task, config)
         else:
