@@ -46,34 +46,44 @@ class Layer:
         raise NotImplementedError
 
 
-class Conv2d(Layer):
+class _Affine(Layer):
+    """A layer whose parameters are a weight and a per-output bias."""
+
+    def __init__(self, weight, bias):
+        self.weight = T.Tensor(weight, requires_grad=True)
+        self.bias = T.Tensor(bias, requires_grad=True)
+
+    @classmethod
+    def from_arrays(cls, weight, bias):
+        """The layer holding these arrays as its parameters, as loaded."""
+        layer = object.__new__(cls)
+        _Affine.__init__(layer, weight, bias)
+        return layer
+
+    def params(self):
+        return {"weight": self.weight, "bias": self.bias}
+
+
+class Conv2d(_Affine):
     """Square-kernel conv, stride 1, padding 1 (weight files record only the kernel)."""
 
     kind = "conv"
 
-    def __init__(self, in_channels, filters, kernel=3, *, rng=None, dtype=np.float32):
+    def __init__(self, in_channels, filters, kernel=3, *, rng, dtype=np.float32):
         fan_in = in_channels * kernel * kernel
-        w = _he_normal(rng, (filters, in_channels, kernel, kernel), fan_in, dtype)
-        self.weight = T.Tensor(w, requires_grad=True)
-        self.bias = T.Tensor(np.zeros(filters, dtype=dtype), requires_grad=True)
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
+        super().__init__(_he_normal(rng, (filters, in_channels, kernel, kernel), fan_in, dtype),
+                         np.zeros(filters, dtype=dtype))
 
     def forward(self, x, tape=None):
         return T.conv2d(x, self.weight, self.bias, 1, 1, tape)
 
 
-class Dense(Layer):
+class Dense(_Affine):
     kind = "dense"
 
-    def __init__(self, in_features, out_features, *, rng=None, dtype=np.float32):
-        w = _he_normal(rng, (in_features, out_features), in_features, dtype)
-        self.weight = T.Tensor(w, requires_grad=True)
-        self.bias = T.Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
+    def __init__(self, in_features, out_features, *, rng, dtype=np.float32):
+        super().__init__(_he_normal(rng, (in_features, out_features), in_features, dtype),
+                         np.zeros(out_features, dtype=dtype))
 
     def forward(self, x, tape=None):
         return T.add(T.matmul(x, self.weight, tape), self.bias, tape)
@@ -103,8 +113,6 @@ class GlobalAvgPool(Layer):
 
 
 def _he_normal(rng, shape, fan_in, dtype):
-    if rng is None:
-        rng = np.random.default_rng()
     std = np.sqrt(2.0 / fan_in)
     return (rng.standard_normal(shape) * std).astype(dtype)
 
@@ -412,10 +420,8 @@ def _rebuild_model(by_name, order):
             raise FormatError(f"shape-manifest mismatch: {cname}.bias does not match {cname}.weight")
         if in_ch is None:
             in_ch = w.shape[1]
-        conv = Conv2d(w.shape[1], w.shape[0], kernel=w.shape[2])
-        conv.weight.data = w.astype(np.float32)
-        conv.bias.data = b.astype(np.float32)
-        layers += [conv, Relu(), MaxPool2d()]
+        layers += [Conv2d.from_arrays(w.astype(np.float32), b.astype(np.float32)),
+                   Relu(), MaxPool2d()]
     layers.append(GlobalAvgPool())
 
     dw = by_name["dense.weight"]
@@ -424,10 +430,7 @@ def _rebuild_model(by_name, order):
         raise FormatError(f"shape-manifest mismatch: dense.weight has rank {dw.ndim}, expected 2")
     if db is None or db.shape != (dw.shape[1],):
         raise FormatError("shape-manifest mismatch: dense.bias does not match dense.weight")
-    dense = Dense(dw.shape[0], dw.shape[1])
-    dense.weight.data = dw.astype(np.float32)
-    dense.bias.data = db.astype(np.float32)
-    layers.append(dense)
+    layers.append(Dense.from_arrays(dw.astype(np.float32), db.astype(np.float32)))
 
     try:
         return ModelGraph(layers, (in_ch, H, W), dw.shape[1])

@@ -10,7 +10,6 @@ arrays mutated in place (by the optimizer, between passes).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ShapeError
 
@@ -230,28 +229,34 @@ def matmul(a, b, tape=None):
 # convolution / pooling
 
 
-def _taps(a, kh, kw, stride, Ho, Wo):
-    """Strided views of [N,C,H,W] a, one per window offset in row-major order.
+def _spans(n, k, stride, padding, n_out):
+    """Per kernel offset i along one axis: the slice of outputs o whose input
+    o*stride + i - padding lies inside [0, n), and the slice of those inputs;
+    None when no output's input does."""
+    spans = []
+    for i in range(k):
+        lo = max(0, -((i - padding) // stride))
+        hi = min(n_out, (n - 1 + padding - i) // stride + 1)
+        first = lo * stride + i - padding
+        spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride))
+                     if lo < hi else None)
+    return spans
 
-    Tap i*kw + j holds a[:, :, i + stride*oh, j + stride*ow] at [:, :, oh, ow].
-    """
-    return [
-        a[:, :, i:i + stride * (Ho - 1) + 1:stride, j:j + stride * (Wo - 1) + 1:stride]
-        for i in range(kh) for j in range(kw)
-    ]
+
+def _clipped_taps(H, W, kh, kw, stride, padding, Ho, Wo):
+    """The window offsets that reach inside the unpadded [H,W] input, in
+    row-major order, as (k, out, inp): tap k = i*kw + j of the patches holds
+    the input elements [..., inp] at [..., out], and zero elsewhere."""
+    rows = _spans(H, kh, stride, padding, Ho)
+    cols = _spans(W, kw, stride, padding, Wo)
+    return [(i * kw + j, (..., r[0], c[0]), (..., r[1], c[1]))
+            for i, r in enumerate(rows) if r
+            for j, c in enumerate(cols) if c]
 
 
 def _bits(a):
     """View of a's elements as unsigned integers of the same width."""
     return a.view(f"u{a.itemsize}")
-
-
-def _im2col(xp, kh, kw, stride):
-    """[N,C,Hp,Wp] -> [N, C*kh*kw, Ho*Wo] patch matrix (copies)."""
-    v = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    N, C, Ho, Wo = v.shape[:4]
-    cols = v.transpose(0, 1, 4, 5, 2, 3).reshape(N, C * kh * kw, Ho * Wo)
-    return np.ascontiguousarray(cols), Ho, Wo
 
 
 def conv2d(x, w, b, stride=1, padding=0, tape=None):
@@ -262,11 +267,15 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
     im2col + matmul so the backward path is plain matrix algebra plus a
     scatter-add back through the patch extraction (col2im).
 
-    The col2im scatter makes kh*kw strided slice-adds, one per kernel
-    offset in row-major order, into a float64 zero array, then crops the
-    padding and casts once to the gradient's dtype. Each input element
-    thus sums its patch contributions in float64, in kernel-offset order,
-    starting from +0.0.
+    The patch matrix is filled straight from the unpadded x, one slice
+    copy per kernel offset, each clipped to the outputs whose input lies
+    inside x; the rest stays zero, as if x were zero-padded.
+
+    The col2im scatter adds the same clipped slices, one per kernel
+    offset in row-major order, into a float64 zero array of x's shape,
+    then casts once to the gradient's dtype. Each input element thus sums
+    its patch contributions in float64, in kernel-offset order, starting
+    from +0.0; contributions that land in the padding are never made.
     """
     stride = int(stride)
     padding = int(padding)
@@ -276,6 +285,8 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
         raise ShapeError(f"conv2d: padding must be non-negative, got {padding}")
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input and kernels, got {x.shape} and {w.shape}")
+    if 0 in w.shape:
+        raise ShapeError(f"conv2d: kernels {w.shape} have a zero extent")
     N, C, H, W = x.shape
     F, Cw, kh, kw = w.shape
     if Cw != C:
@@ -288,8 +299,12 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
             f"conv2d: kernel {kh}x{kw} larger than padded input {Hp}x{Wp}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols, Ho, Wo = _im2col(xp, kh, kw, stride)
+    Ho, Wo = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
+    taps = _clipped_taps(H, W, kh, kw, stride, padding, Ho, Wo)
+    cols = (np.zeros if padding else np.empty)((N, C, kh * kw, Ho, Wo), x.dtype)
+    for k, out_ix, in_ix in taps:
+        cols[:, :, k][out_ix] = x.data[in_ix]
+    cols = cols.reshape(N, C * kh * kw, Ho * Wo)
     wr = w.data.reshape(F, -1)
     out = np.matmul(wr, cols).reshape(N, F, Ho, Wo)
     out += b.data[None, :, None, None]
@@ -303,11 +318,10 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
             db = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
             dcols = np.matmul(wr.T, gr).reshape(N, C, kh * kw, Ho, Wo)
-            dxp = np.zeros((N, C, Hp, Wp))
-            for k, tap in enumerate(_taps(dxp, kh, kw, stride, Ho, Wo)):
-                tap += dcols[:, :, k]
-            dxp = dxp[:, :, padding:Hp - padding, padding:Wp - padding]
-            dx = dxp.astype(g.dtype, copy=False)
+            dx = np.zeros(x.shape)
+            for k, out_ix, in_ix in taps:
+                dx[in_ix] += dcols[:, :, k][out_ix]
+            dx = dx.astype(g.dtype, copy=False)
         return dx, dw, db
 
     return _emit(out, (x, w, b), bwd, tape)
@@ -321,10 +335,12 @@ def maxpool2d(x, window, stride, tape=None):
     row-major order: a tap replaces the running max only where it is
     strictly greater, so the first maximal element wins, signed zeros
     included. NaN inputs are outside this contract. The backward
-    recomputes each tap's first-max hit against the output and adds the
-    hit gradients into a zero array, so a -0.0 gradient lands as +0.0.
-    Overlapping windows (stride < window) accumulate in float64 in
-    row-major window order, then cast once to the gradient's dtype.
+    recomputes each tap's first-max hit against the output. Disjoint
+    windows (stride >= window) assign each tap's hit gradients of g + 0
+    into a zero array, so a -0.0 gradient lands as +0.0. Overlapping
+    windows (stride < window) add the hit gradients into a float64 zero
+    array in row-major window order, then cast once to the gradient's
+    dtype.
 
     Both passes select values through their bit patterns (an all-ones
     mask ANDed with the bits) instead of np.where, whose per-element
@@ -332,6 +348,8 @@ def maxpool2d(x, window, stride, tape=None):
     """
     window = int(window)
     stride = int(stride)
+    if window < 1 or stride < 1:
+        raise ShapeError(f"maxpool2d: window {window} and stride {stride} must be positive")
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d: need 4-d input, got {x.shape}")
     H, W = x.shape[2:]
@@ -339,7 +357,8 @@ def maxpool2d(x, window, stride, tape=None):
         raise ShapeError(f"maxpool2d: window {window} exceeds spatial extent {H}x{W}")
 
     Ho, Wo = (H - window) // stride + 1, (W - window) // stride + 1
-    taps = _taps(x.data, window, window, stride, Ho, Wo)
+    tap_ix = [inp for _, _, inp in _clipped_taps(H, W, window, window, stride, 0, Ho, Wo)]
+    taps = [x.data[inp] for inp in tap_ix]
     out = taps[0].copy()
     bits = _bits(out)
     for v in taps[1:]:
@@ -353,11 +372,17 @@ def maxpool2d(x, window, stride, tape=None):
             hit = (v == out) & free
             free ^= hit
             hits.append(hit)
-        dx = np.zeros(x.shape, np.float64 if stride < window else g.dtype)
+        if stride >= window:
+            dx = np.zeros(x.shape, g.dtype)
+            gbits = _bits(g + 0)
+            for inp, hit in zip(tap_ix, hits):
+                np.bitwise_and(gbits, np.negative(hit, dtype=gbits.dtype), out=_bits(dx[inp]))
+            return (dx,)
+        dx = np.zeros(x.shape)
         gbits = _bits(g)
         # reverse tap order visits the windows sharing an element in row-major order
-        for tap, hit in zip(_taps(dx, window, window, stride, Ho, Wo)[::-1], hits[::-1]):
-            tap += (gbits & np.negative(hit, dtype=gbits.dtype)).view(g.dtype)  # g, or +0.0
+        for inp, hit in zip(tap_ix[::-1], hits[::-1]):
+            dx[inp] += (gbits & np.negative(hit, dtype=gbits.dtype)).view(g.dtype)  # g, or +0.0
         return (dx.astype(g.dtype, copy=False),)
 
     return _emit(out, (x,), bwd, tape)

@@ -49,7 +49,7 @@ def test_scores_complement_normal_neuron_probability():
 
 
 def test_float64_samples_are_scored_unrounded():
-    dense = nn.Dense(1, 2, dtype=np.float64)
+    dense = nn.Dense(1, 2, rng=np.random.default_rng(0), dtype=np.float64)
     dense.weight.data = np.array([[1.0, -1.0]])
     m = nn.ModelGraph([dense], (1,), 2)
     x = np.array([[0.1]])  # not a float32 value

@@ -65,25 +65,32 @@ def test_batch_independence_row0():
     assert np.allclose(row_alone, row_in_batch, atol=1e-5)
 
 
+RNG = np.random.default_rng(0)
+
+
 def block(in_channels, filters, kernel=3):
-    return [nn.Conv2d(in_channels, filters, kernel), nn.Relu(), nn.MaxPool2d()]
+    return [nn.Conv2d(in_channels, filters, kernel, rng=RNG), nn.Relu(), nn.MaxPool2d()]
+
+
+def dense(in_features, out_features):
+    return nn.Dense(in_features, out_features, rng=RNG)
 
 
 # each graph breaks one composition rule, which its id names
 @pytest.mark.parametrize("layers, input_shape, num_classes", [
-    pytest.param(block(3, 16) + block(8, 16) + [nn.GlobalAvgPool(), nn.Dense(16, 4)],
+    pytest.param(block(3, 16) + block(8, 16) + [nn.GlobalAvgPool(), dense(16, 4)],
                  (3, 16, 16), 4, id="conv-channels-differ-between-blocks"),
-    pytest.param(block(3, 16) + [nn.GlobalAvgPool(), nn.Dense(8, 4)],
+    pytest.param(block(3, 16) + [nn.GlobalAvgPool(), dense(8, 4)],
                  (3, 16, 16), 4, id="dense-width-differs-from-conv-filters"),
-    pytest.param(block(3, 16) + [nn.GlobalAvgPool(), nn.Dense(16, 4)],
+    pytest.param(block(3, 16) + [nn.GlobalAvgPool(), dense(16, 4)],
                  (3, 16, 16), 5, id="logits-differ-from-num-classes"),
-    pytest.param(block(3, 16) + block(16, 16) + [nn.GlobalAvgPool(), nn.Dense(16, 4)],
+    pytest.param(block(3, 16) + block(16, 16) + [nn.GlobalAvgPool(), dense(16, 4)],
                  (3, 2, 2), 4, id="pooling-below-1x1"),
-    pytest.param(block(3, 16) + [nn.Dense(16, 4)], (3, 16, 16), 4, id="dense-before-gap"),
-    pytest.param([nn.Conv2d(12, 16), nn.GlobalAvgPool(), nn.Dense(16, 4)],
+    pytest.param(block(3, 16) + [dense(16, 4)], (3, 16, 16), 4, id="dense-before-gap"),
+    pytest.param([nn.Conv2d(12, 16, rng=RNG), nn.GlobalAvgPool(), dense(16, 4)],
                  (12,), 4, id="conv-on-flat-input"),
-    pytest.param([nn.GlobalAvgPool(), nn.Dense(12, 4)], (12,), 4, id="gap-on-flat-input"),
-    pytest.param(block(3, 16, kernel=5) + [nn.GlobalAvgPool(), nn.Dense(16, 4)],
+    pytest.param([nn.GlobalAvgPool(), dense(12, 4)], (12,), 4, id="gap-on-flat-input"),
+    pytest.param(block(3, 16, kernel=5) + [nn.GlobalAvgPool(), dense(16, 4)],
                  (3, 2, 2), 4, id="kernel-larger-than-padded-input"),
 ])
 def test_model_graph_rejects_a_broken_composition(layers, input_shape, num_classes):
@@ -321,6 +328,21 @@ def test_roundtrip_preserves_forward_bit_exact(tmp_path):
     loaded = nn.load_weights(path)
     x = T.Tensor(np.random.default_rng(7).random((3, 3, 32, 32), dtype=np.float32))
     assert np.array_equal(m.forward(x).data, loaded.forward(x).data)
+
+
+def test_load_weights_builds_layers_from_the_file_without_drawing(tmp_path, monkeypatch):
+    m = small_model(11)
+    path = tmp_path / "model.xfaw"
+    nn.save_weights(m, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_weights drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = nn.load_weights(path)
+    for (_, pa), (_, pb) in zip(m.named_parameters(), loaded.named_parameters()):
+        assert pb.data.tobytes() == pa.data.tobytes()
+        assert pb.requires_grad and pb.data.flags.writeable  # sgd_step updates in place
 
 
 def test_independent_reader_recovers_identical_flat_arrays(tmp_path):

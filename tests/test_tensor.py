@@ -79,6 +79,11 @@ def test_conv2d_kernel_larger_than_padded_input():
     b = T.Tensor(np.zeros(1))
     with pytest.raises(ShapeError, match="larger than padded input"):
         T.conv2d(x, w, b)
+    # a zero kernel or filter extent is rejected, not turned into an output map
+    x = T.Tensor(np.ones((1, 1, 4, 4)))
+    for w_shape in [(1, 1, 0, 3), (1, 1, 3, 0), (0, 1, 3, 3)]:
+        with pytest.raises(ShapeError, match="zero extent"):
+            T.conv2d(x, T.Tensor(np.ones(w_shape)), T.Tensor(np.zeros(w_shape[0])), 1, 1)
 
 
 def test_conv2d_output_shape_formula_grid():
@@ -136,6 +141,10 @@ def test_maxpool_constant_input_ties_route_to_first():
 def test_maxpool_window_exceeds_extent():
     with pytest.raises(ShapeError, match="exceeds spatial extent"):
         T.maxpool2d(T.Tensor(np.zeros((1, 1, 3, 3))), 4, 1)
+    # so is a window or stride below 1
+    for window, stride in [(2, -1), (2, 0), (0, 2), (-1, 1)]:
+        with pytest.raises(ShapeError, match="must be positive"):
+            T.maxpool2d(T.Tensor(np.zeros((1, 1, 3, 3))), window, stride)
 
 
 def test_maxpool_gradcheck():
@@ -156,6 +165,12 @@ def test_maxpool_gradcheck():
 # byte-exactness against the bincount kernels (tests/ref_kernels.py)
 
 VALUE_KINDS = ("normal", "integer", "signed_zeros")
+
+# the small convnet's layers at its training and scoring batches, plus one odd size:
+# conv (in channels, filters, H, W) with 3x3 kernels and padding 1; pool [C,H,W], 2x2
+NETWORK_BATCHES = (16, 64)
+NETWORK_CONVS = ((3, 16, 32, 32), (16, 16, 16, 16), (16, 32, 8, 8), (16, 16, 9, 7))
+NETWORK_POOL_INPUTS = ((16, 32, 32), (16, 16, 16), (32, 8, 8), (16, 9, 7))
 
 
 def _values(rng, shape, dtype, kind):
@@ -181,8 +196,11 @@ def assert_same_bytes(new, ref):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_maxpool_matches_oracle_bytes(dtype, kind):
     rng = _rng(dtype, kind)
-    for window, stride, (H, W) in itertools.product((1, 2, 3), (1, 2, 3), ((7, 9), (6, 6))):
-        xd = _values(rng, (2, 3, H, W), dtype, kind)
+    grid = [((2, 3, H, W), window, stride) for window, stride, (H, W)
+            in itertools.product((1, 2, 3), (1, 2, 3), ((7, 9), (6, 6)))]
+    grid += [((n, *chw), 2, 2) for n in NETWORK_BATCHES for chw in NETWORK_POOL_INPUTS]
+    for shape, window, stride in grid:
+        xd = _values(rng, shape, dtype, kind)
         ref_out, ref_bwd = ref_kernels.maxpool2d(xd, window, stride)
         tape = T.Tape()
         out = T.maxpool2d(T.Tensor(xd, requires_grad=True), window, stride, tape)
@@ -198,11 +216,14 @@ def test_maxpool_matches_oracle_bytes(dtype, kind):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv2d_matches_oracle_bytes(dtype, kind):
     rng = _rng(dtype, kind)
-    grid = itertools.product((1, 2, 3), (1, 2, 3), (1, 2), (0, 1, 2), ((5, 7), (6, 6)))
-    for kh, kw, stride, padding, (H, W) in grid:
-        xd = _values(rng, (2, 3, H, W), dtype, kind)
-        wd = _values(rng, (4, 3, kh, kw), dtype, kind)
-        bd = _values(rng, (4,), dtype, kind)
+    grid = [((2, 3, H, W), (4, 3, kh, kw), stride, padding) for kh, kw, stride, padding, (H, W)
+            in itertools.product((1, 2, 3), (1, 2, 3), (1, 2), (0, 1, 2), ((5, 7), (6, 6)))]
+    grid += [((n, C, H, W), (F, C, 3, 3), 1, 1)
+             for n in NETWORK_BATCHES for C, F, H, W in NETWORK_CONVS]
+    for x_shape, w_shape, stride, padding in grid:
+        xd = _values(rng, x_shape, dtype, kind)
+        wd = _values(rng, w_shape, dtype, kind)
+        bd = _values(rng, w_shape[:1], dtype, kind)
         ref_out, ref_bwd = ref_kernels.conv2d(xd, wd, bd, stride, padding)
         tape = T.Tape()
         leaves = [T.Tensor(a, requires_grad=True) for a in (xd, wd, bd)]
