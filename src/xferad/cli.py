@@ -296,10 +296,8 @@ def _checked_report(net, normal, anomalous, threshold):
     and report at threshold; ConsistencyError unless the pairwise oracle
     agrees on the AUC.
 
-    net is the graph the samples enter: a model on preprocessed images,
-    or a detector's suffix(k) on the activations entering its layer k.
-    The two splits are scored as one sequence, so net sees the same
-    batches either way. Returns (scored, report).
+    net is a detector's suffix(k), and the samples are the activations
+    entering its layer k (see _feature_lookup). Returns (scored, report).
     """
     labels = [LABEL_NORMAL] * len(normal) + [LABEL_ANOMALOUS] * len(anomalous)
     scored = ScoredSet(anomaly_scores(net, np.concatenate([normal, anomalous])), labels)
@@ -341,10 +339,11 @@ def cmd_evaluate(args):
     ds, digests = _load_dataset(args)
     model = nn.load_weights(args.weights)
     idx = _resolve_task(args.task, ds, digests)
-    test = [data.gather(ds.images, idx[s]) for s in TASK_SPLITS[2:]]
-    scored, report = _checked_report(
-        model, *(data.preprocess_split(x, model.input_shape[1:]) for x in test), args.threshold
-    )
+    # the lookup holds each test sample's input to the head, its GAP vector
+    head = len(model.layers) - 1
+    test = [idx[s] for s in TASK_SPLITS[2:]]
+    features = _feature_lookup(model, head, ds.images, test)
+    scored, report = _checked_report(model.suffix(head), *map(features, test), args.threshold)
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.json")

@@ -103,7 +103,8 @@ def load_idx(images_path, labels_path):
             f"{images_path}: truncated at byte {len(blob)}, expected {need} bytes of pixel data"
         )
     pixels = np.frombuffer(blob, dtype=np.uint8, count=count * rows * cols, offset=16)
-    images = (pixels.reshape(count, 1, rows, cols).astype(np.float32)) / 255.0
+    images = pixels.reshape(count, 1, rows, cols).astype(np.float32)
+    images /= 255.0
 
     with open(labels_path, "rb") as f:
         lblob = f.read()
@@ -189,7 +190,9 @@ def _read_pnm(path):
     if len(raster) < need:
         raise FormatError(f"{path}: raster truncated, {len(raster)} of {need} bytes")
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
-    return arr.transpose(2, 0, 1).astype(np.float32) / 255.0
+    image = arr.transpose(2, 0, 1).astype(np.float32)
+    image /= 255.0
+    return image
 
 
 def load_image_dir(root_path, class_subdirs):
@@ -219,20 +222,29 @@ def load_image_dir(root_path, class_subdirs):
 
 
 def load_cifar10_batches(paths):
-    """Read CIFAR-10 binary batch files into a LabeledImageSet."""
-    all_images, all_labels = [], []
-    for path in paths:
+    """Read CIFAR-10 binary batch files into a LabeledImageSet.
+
+    One float32 array, sized from the files' byte counts, receives each
+    file's pixels /255 in turn: the peak is that array plus one file.
+    """
+    sizes = [os.stat(path).st_size for path in paths]
+    for path, size in zip(paths, sizes):
+        if size % 3073 != 0:
+            raise FormatError(f"{path}: size {size} is not a multiple of the 3073-byte record")
+    images = np.empty((sum(sizes) // 3073, 3, 32, 32), dtype=np.float32)
+    labels = np.empty(len(images), dtype=np.int64)
+    start = 0
+    for path, size in zip(paths, sizes):
         with open(path, "rb") as f:
             blob = f.read()
-        if len(blob) % 3073 != 0:
-            raise FormatError(
-                f"{path}: size {len(blob)} is not a multiple of the 3073-byte record"
-            )
+        if len(blob) != size:
+            raise FormatError(f"{path}: size changed from {size} to {len(blob)} bytes")
         rec = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 3073)
-        all_labels.append(rec[:, 0].astype(np.int64))
-        all_images.append(rec[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0)
-    images = np.concatenate(all_images)
-    labels = np.concatenate(all_labels)
+        stop = start + len(rec)
+        labels[start:stop] = rec[:, 0]
+        np.divide(rec[:, 1:].reshape(-1, 3, 32, 32), np.float32(255), out=images[start:stop])
+        start = stop
+        del blob, rec  # free this file's bytes before the next file is read
     if labels.size and labels.max() > 9:
         raise FormatError(f"label {labels.max()} out of range for CIFAR-10")
     return LabeledImageSet(images, labels, list(CIFAR10_CLASS_NAMES))

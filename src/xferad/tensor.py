@@ -157,12 +157,12 @@ def scale(x, s, tape=None):
 
 
 def relu(x, tape=None):
-    mask = x.data > 0
+    xd = x.data
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (xd > 0),)
 
-    return _emit(np.maximum(x.data, 0), (x,), bwd, tape)
+    return _emit(np.maximum(xd, 0), (x,), bwd, tape)
 
 
 def reshape(x, shape, tape=None):

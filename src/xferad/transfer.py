@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, nn
+from . import data, evaluate, nn
 from . import tensor as T
 from .errors import CapacityError, ContractError
-from .evaluate import INFER_BATCH, ScoredSet, anomaly_scores, auc_trapezoid
+from .evaluate import ScoredSet, anomaly_scores, auc_trapezoid
 
 STRATEGY_FIXED = "fixed_extractor"
 STRATEGY_FINE_TUNE = "fine_tune"
@@ -225,17 +225,17 @@ def prefix_features(model, k, images, index):
     """Activations entering model.layers[k] for the raw images[index],
     tape-free, in index order; index must be non-empty.
 
-    Each chunk of INFER_BATCH samples is gathered, preprocessed to the
-    model's input size and run through layers[:k] (k == 0 stops after
-    preprocessing), so the preprocessed images are never all held at
-    once. Every layer of the family maps each sample on its own (conv is
+    Each chunk of evaluate.INFER_BATCH samples is gathered, preprocessed
+    to the model's input size and run through layers[:k] (k == 0 stops
+    after preprocessing), so the preprocessed images are never all held
+    at once. Every layer of the family maps each sample on its own (conv is
     one matmul per sample of the stacked batch), so the activations are
     bit-identical to those of any other batching.
     """
-    hw = model.input_shape[1:]
+    hw, step = model.input_shape[1:], evaluate.INFER_BATCH
     out = None
-    for start in range(0, len(index), INFER_BATCH):
-        x = data.preprocess_split(data.gather(images, index[start:start + INFER_BATCH]), hw)
+    for start in range(0, len(index), step):
+        x = data.preprocess_split(data.gather(images, index[start:start + step]), hw)
         a = model.forward(T.Tensor(x), upto=k).data
         if out is None:
             out = np.empty((len(index),) + a.shape[1:], dtype=a.dtype)

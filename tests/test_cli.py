@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xferad import cli, data, nn, transfer
+from xferad import cli, data, evaluate, nn, transfer
 from xferad.cli import main
 from xferad.errors import (
     EXIT_CAPACITY, EXIT_CONSISTENCY, EXIT_FORMAT, CapacityError, ConsistencyError,
@@ -594,6 +594,25 @@ def test_evaluate_uses_and_records_the_weights_input_size(corpus, source_weights
         assert manifest["parameters"]["size"] == [16, 16]
         runs[size] = [(out / n).read_bytes() for n in ("report.json", "roc.csv", "scores.csv")]
     assert runs[64] == runs[16]
+
+
+def test_evaluate_outputs_independent_of_the_inference_batch(corpus, source_weights, tmp_path,
+                                                             monkeypatch):
+    """72 test samples: chunks of 16 (4 x 16 + 8) and of 64 (64 + 8) give
+    the same report, ROC and score bytes."""
+    task = str(tmp_path / "task.json")
+    assert main(["make-task", *dataset_flags(corpus), "--anomaly-class", "9",
+                 "--train-per-class", "4", "--test-per-class", "36", "--out", task]) == 0
+    detector = str(tmp_path / "detector.xfaw")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+    runs = {}
+    for batch in (16, 64):
+        monkeypatch.setattr(evaluate, "INFER_BATCH", batch)
+        out = tmp_path / f"batch{batch}"
+        assert main(["evaluate", *dataset_flags(corpus), "--weights", detector, "--task", task,
+                     "--out-dir", str(out)]) == 0
+        runs[batch] = [(out / n).read_bytes() for n in ("report.json", "roc.csv", "scores.csv")]
+    assert runs[16] == runs[64]
 
 
 @pytest.mark.parametrize("command", ["make-synth", "pretrain", "make-task", "transfer",

@@ -8,6 +8,7 @@ from xferad import data, evaluate
 from xferad.errors import CapacityError, FormatError, ShapeError
 
 import ref_kernels
+from rsscheck import peak_rss_growth
 from taskstats import hypergeom_mean_sigma
 
 
@@ -213,6 +214,78 @@ def test_cifar10_bad_record_size(tmp_path):
     p.write_bytes(bytes(3072))  # one byte short of a record
     with pytest.raises(FormatError, match="3073"):
         data.load_cifar10_batches([p])
+
+
+def write_cifar_batch(path, n, seed):
+    """n random CIFAR-10 records (labels 0-9) as one batch file; returns
+    them as a uint8 [n, 3073] array."""
+    rec = np.random.default_rng(seed).integers(0, 256, size=(n, 3073), dtype=np.uint8)
+    rec[:, 0] %= 10
+    path.write_bytes(rec.tobytes())
+    return rec
+
+
+def assert_float32_scaling_of(images, raw):
+    """images holds the bytes of raw's float32 copy divided by 255."""
+    want = raw.astype(np.float32) / 255.0
+    assert images.dtype == np.float32 and images.shape == want.shape
+    assert images.tobytes() == want.tobytes()
+
+
+def test_loaders_give_the_bytes_of_a_float32_copy_divided_by_255(tmp_path):
+    rng = np.random.default_rng(7)
+    raw = rng.integers(0, 256, size=(6, 9, 7), dtype=np.uint8)
+    ds = data.load_idx(*write_idx_pair(tmp_path, raw, np.zeros(6, np.uint8)))
+    assert_float32_scaling_of(ds.images, raw[:, None])
+
+    for magic, channels in ((b"P5", 1), (b"P6", 3)):
+        hwc = rng.integers(0, 256, size=(5, 4, channels), dtype=np.uint8)
+        p = tmp_path / f"image.{magic.decode()}"
+        p.write_bytes(magic + b"\n4 5\n255\n" + hwc.tobytes())
+        assert_float32_scaling_of(data._read_pnm(p), hwc.transpose(2, 0, 1))
+
+    paths = [tmp_path / "data_batch_1.bin", tmp_path / "data_batch_2.bin"]
+    recs = [write_cifar_batch(p, n, seed) for p, n, seed in zip(paths, (7, 5), (8, 9))]
+    ds = data.load_cifar10_batches(paths)
+    assert_float32_scaling_of(ds.images, np.concatenate(recs)[:, 1:].reshape(-1, 3, 32, 32))
+    assert np.array_equal(ds.labels, np.concatenate(recs)[:, 0])
+
+
+def test_cifar10_bad_size_fails_before_allocating(tmp_path, monkeypatch):
+    good, bad = tmp_path / "data_batch_1.bin", tmp_path / "data_batch_2.bin"
+    write_cifar_batch(good, 2, seed=0)
+    bad.write_bytes(bytes(3074))
+    monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("allocated before the size check"))
+    with pytest.raises(FormatError, match="data_batch_2.bin: size 3074 is not a multiple"):
+        data.load_cifar10_batches([good, bad])
+
+
+def test_cifar10_file_that_grows_while_loading(tmp_path, monkeypatch):
+    """A file whose size changes between the size check and its read is
+    rejected, even when it still holds whole records."""
+    p = tmp_path / "data_batch_1.bin"
+    write_cifar_batch(p, 2, seed=0)
+
+    def open_after_growing(path, mode):
+        with open(path, "ab") as f:
+            f.write(bytes(3073))
+        return open(path, mode)
+
+    monkeypatch.setattr(data, "open", open_after_growing, raising=False)
+    with pytest.raises(FormatError, match="size changed from 6146 to 9219 bytes"):
+        data.load_cifar10_batches([p])
+
+
+def test_cifar10_load_peaks_at_the_array_plus_one_file(tmp_path):
+    """Two 10,000-record files (61 MB) raise a fresh process's peak RSS by
+    at most the 246 MB float32 array, one file and a few MB of slack."""
+    paths = [tmp_path / f"data_batch_{i}.bin" for i in (1, 2)]
+    for seed, p in enumerate(paths):
+        write_cifar_batch(p, 10_000, seed)
+    array_bytes, file_bytes = 20_000 * 3072 * 4, 10_000 * 3073
+    growth = peak_rss_growth(f"from xferad import data\npaths = {[str(p) for p in paths]!r}",
+                             "ds = data.load_cifar10_batches(paths)")
+    assert array_bytes <= growth <= array_bytes + file_bytes + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xferad import data, nn, synth, transfer
+from xferad import data, evaluate, nn, synth, transfer
 from xferad.errors import CapacityError, ContractError
 from xferad import tensor as T
 from xferad.evaluate import ScoredSet, anomaly_scores, auc_trapezoid
@@ -466,6 +466,46 @@ def test_prefix_activations_independent_of_batching(k):
     assert chunked.shape == (70,) + model.suffix(k).input_shape
     assert np.array_equal(chunked, shuffled)
     assert np.array_equal(chunked, single)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scores_and_head_inputs_independent_of_the_inference_batch(monkeypatch, dtype):
+    """evaluate.INFER_BATCH is the one chunk size of anomaly_scores and
+    prefix_features (transfer reads it through the evaluate module).
+
+    No activation entering the head depends on it. The dense head's rows
+    agree between chunks of 16 and 64 (4 x 16 + 6 and 64 + 6 rows here),
+    but numpy runs a 1-row product as a matrix-vector call whose last
+    bits differ, so at 1 only the activations are compared."""
+    model = nn.build_small_convnet((3, 16, 16), 2, seed=23, dtype=dtype)
+    head = len(model.layers) - 1
+    x = np.random.default_rng(24).random((70, 3, 16, 16)).astype(dtype)
+    sizes = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward",
+                        lambda batch, **kw: sizes.append(len(batch.data)) or forward(batch, **kw))
+
+    def chunks(batch):
+        return [min(batch, len(x) - s) for s in range(0, len(x), batch)]
+
+    features, scores, head_scores = {}, {}, {}
+    for batch in (1, 16, 64):
+        monkeypatch.setattr(evaluate, "INFER_BATCH", batch)
+        sizes.clear()
+        features[batch] = transfer.prefix_features(model, head, x, np.arange(len(x)))
+        assert sizes == chunks(batch)
+        if batch > 1:
+            scores[batch] = anomaly_scores(model, x)
+            assert sizes == chunks(batch) * 2
+            head_scores[batch] = anomaly_scores(model.suffix(head), features[batch])
+    assert features[1].dtype == dtype
+    assert features[1].tobytes() == features[16].tobytes() == features[64].tobytes()
+    assert scores[16].tobytes() == scores[64].tobytes()
+    assert head_scores[16].tobytes() == head_scores[64].tobytes()
+    # scoring the head on the lookup's features is scoring the whole model
+    # on the preprocessed images, as evaluate did before it used the lookup
+    whole = anomaly_scores(model, data.preprocess_split(x, (16, 16)))
+    assert head_scores[64].tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("selection", [transfer.SELECT_BEST_VAL_AUC, transfer.SELECT_LAST_EPOCH])
