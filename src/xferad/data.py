@@ -83,7 +83,8 @@ def load_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into a LabeledImageSet.
 
     Pixel bytes are scaled to [0,1] by /255; image count must agree
-    between the two files.
+    between the two files, and each file must be exactly the size its
+    header gives.
     """
     with open(images_path, "rb") as f:
         blob = f.read()
@@ -98,9 +99,10 @@ def load_idx(images_path, labels_path):
     if rows < 1 or cols < 1:
         raise FormatError(f"{images_path}: image size {rows}x{cols} must be positive")
     need = 16 + count * rows * cols
-    if len(blob) < need:
+    if len(blob) != need:
+        state = "truncated" if len(blob) < need else "overlong"
         raise FormatError(
-            f"{images_path}: truncated at byte {len(blob)}, expected {need} bytes of pixel data"
+            f"{images_path}: {state} at byte {len(blob)}, its header gives {need} bytes"
         )
     pixels = np.frombuffer(blob, dtype=np.uint8, count=count * rows * cols, offset=16)
     images = pixels.reshape(count, 1, rows, cols).astype(np.float32)
@@ -118,9 +120,10 @@ def load_idx(images_path, labels_path):
         raise FormatError(
             f"{labels_path}: {lcount} labels but {images_path} has {count} images"
         )
-    if len(lblob) < 8 + count:
+    if len(lblob) != 8 + count:
+        state = "truncated" if len(lblob) < 8 + count else "overlong"
         raise FormatError(
-            f"{labels_path}: truncated at byte {len(lblob)}, expected {8 + count} bytes"
+            f"{labels_path}: {state} at byte {len(lblob)}, its header gives {8 + count} bytes"
         )
     labels = np.frombuffer(lblob, dtype=np.uint8, count=count, offset=8).astype(np.int64)
 

@@ -28,7 +28,7 @@ LABEL_ANOMALOUS = 1
 # cache: at 32x32 input, 16 keep conv1's patch buffer (1.8 MB) and pool1's
 # input (1.0 MB) each within a 2 MiB L2 cache; 64 made them 7.1 and 4.2 MB.
 # Activations are per sample; the dense head's rows match between chunks of
-# 16 and 64 unless a last chunk of one row runs as a matrix-vector product.
+# 16 and 64 because anomaly_scores never runs a last chunk of one row.
 INFER_BATCH = 16
 
 
@@ -106,18 +106,22 @@ def anomaly_scores(model, samples):
 
     Pure inference (no tape); the model must have exactly 2 outputs.
     AUC under this orientation equals AUC under the complementary
-    normal-neuron scoring. Each chunk enters a Tensor, so float64
-    samples stay float64 and a double-precision model's cached
-    activations score unrounded; any other dtype becomes float32.
+    normal-neuron scoring. A 1-row last chunk joins the chunk before it.
+    Each chunk enters a Tensor, so float64 samples stay float64 and a
+    double-precision model's cached activations score unrounded; any
+    other dtype becomes float32.
     """
     if model.num_classes != 2:
         raise ContractError(f"anomaly scoring needs a 2-class model, got {model.num_classes}")
     samples = np.asarray(samples)
-    out = np.empty(len(samples), dtype=np.float64)
-    for start in range(0, len(samples), INFER_BATCH):
-        chunk = samples[start:start + INFER_BATCH]
-        logits = model.forward(T.Tensor(chunk)).data
-        out[start:start + len(chunk)] = T.softmax(logits)[:, LABEL_ANOMALOUS]
+    n = len(samples)
+    starts = list(range(0, n, INFER_BATCH))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # numpy runs a 1-row product as gemv, which rounds unlike sgemm
+    out = np.empty(n, dtype=np.float64)
+    for start, stop in zip(starts, starts[1:] + [n]):
+        logits = model.forward(T.Tensor(samples[start:stop])).data
+        out[start:stop] = T.softmax(logits)[:, LABEL_ANOMALOUS]
     return out
 
 

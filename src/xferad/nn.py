@@ -10,6 +10,8 @@ rebuilt from the file alone.
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 import zlib
 
@@ -21,6 +23,7 @@ from .errors import ContractError, FormatError, ShapeError
 WEIGHT_MAGIC = b"XFAW"
 WEIGHT_VERSION = 1
 _META_INPUT_HW = "__meta__.input_hw"
+_MAX_RANK = 4  # conv kernels; save_weights writes no higher rank
 
 
 class Layer:
@@ -357,7 +360,19 @@ def load_weights(path):
         records.append((name, arr))
     if off != len(blob) - 4:
         raise FormatError(f"trailing bytes after record {count} at byte {off}")
-    return _rebuild_model(dict(records), [n for n, _ in records])
+    _check_record_names([n for n, _ in records])
+    return _rebuild_model(dict(records))
+
+
+def _check_record_names(names):
+    """FormatError unless names are save_weights' records, in its order:
+    conv1..convK weight and bias (K >= 1), dense weight and bias, metadata."""
+    blocks = max(1, (len(names) - 3) // 2)
+    expected = [f"conv{i}.{p}" for i in range(1, blocks + 1) for p in ("weight", "bias")]
+    expected += ["dense.weight", "dense.bias", _META_INPUT_HW]
+    for i, (got, want) in enumerate(itertools.zip_longest(names, expected)):
+        if got != want:
+            raise FormatError(f"record {i + 1} is {got!r}, expected {want!r}")
 
 
 def _unpack_record(blob, off):
@@ -374,6 +389,8 @@ def _unpack_record(blob, off):
         raise FormatError(f"record name at byte {off} is not valid UTF-8") from None
     off += nlen
     rank = blob[off]
+    if rank > _MAX_RANK:
+        raise FormatError(f"record {name} at byte {off} has rank {rank}, above {_MAX_RANK}")
     off += 1
     if off + 4 * rank > end:
         raise FormatError(f"weight file truncated at byte {off}: extents of {name}")
@@ -381,7 +398,7 @@ def _unpack_record(blob, off):
     if 0 in extents:
         raise FormatError(f"record {name} at byte {off} has a zero extent: {extents}")
     off += 4 * rank
-    n = int(np.prod(extents)) if rank else 1
+    n = math.prod(extents)
     if off + 4 * n > end:
         raise FormatError(f"weight file truncated at byte {off}: data of {name}")
     arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(extents)
@@ -391,10 +408,9 @@ def _unpack_record(blob, off):
     return name, arr, off
 
 
-def _rebuild_model(by_name, order):
-    """Reconstruct the conv-blocks + GAP + dense family from named records."""
-    if _META_INPUT_HW not in by_name:
-        raise FormatError(f"missing {_META_INPUT_HW} record")
+def _rebuild_model(by_name):
+    """Reconstruct the conv-blocks + GAP + dense family from the records
+    _check_record_names accepted."""
     hw = by_name[_META_INPUT_HW]
     if hw.shape != (2,):
         raise FormatError(f"shape-manifest mismatch: {_META_INPUT_HW} has extents {hw.shape}")
@@ -402,37 +418,27 @@ def _rebuild_model(by_name, order):
         raise FormatError(f"{_META_INPUT_HW} {hw.tolist()} is not two whole numbers >= 1")
     H, W = int(hw[0]), int(hw[1])
 
-    conv_names = []
-    for name in order:
-        if name.startswith("conv") and name.endswith(".weight"):
-            conv_names.append(name[:-len(".weight")])
-    if not conv_names or "dense.weight" not in by_name:
-        raise FormatError("shape-manifest mismatch: need convN.weight records and dense.weight")
-
     layers = []
-    in_ch = None
-    for cname in conv_names:
-        w = by_name[cname + ".weight"]
-        b = by_name.get(cname + ".bias")
+    for i in range(1, (len(by_name) - 3) // 2 + 1):
+        w = by_name[f"conv{i}.weight"]
+        b = by_name[f"conv{i}.bias"]
         if w.ndim != 4:
-            raise FormatError(f"shape-manifest mismatch: {cname}.weight has rank {w.ndim}, expected 4")
-        if b is None or b.shape != (w.shape[0],):
-            raise FormatError(f"shape-manifest mismatch: {cname}.bias does not match {cname}.weight")
-        if in_ch is None:
-            in_ch = w.shape[1]
+            raise FormatError(f"shape-manifest mismatch: conv{i}.weight has rank {w.ndim}, expected 4")
+        if b.shape != (w.shape[0],):
+            raise FormatError(f"shape-manifest mismatch: conv{i}.bias does not match conv{i}.weight")
         layers += [Conv2d.from_arrays(w.astype(np.float32), b.astype(np.float32)),
                    Relu(), MaxPool2d()]
     layers.append(GlobalAvgPool())
 
     dw = by_name["dense.weight"]
-    db = by_name.get("dense.bias")
+    db = by_name["dense.bias"]
     if dw.ndim != 2:
         raise FormatError(f"shape-manifest mismatch: dense.weight has rank {dw.ndim}, expected 2")
-    if db is None or db.shape != (dw.shape[1],):
+    if db.shape != (dw.shape[1],):
         raise FormatError("shape-manifest mismatch: dense.bias does not match dense.weight")
     layers.append(Dense.from_arrays(dw.astype(np.float32), db.astype(np.float32)))
 
     try:
-        return ModelGraph(layers, (in_ch, H, W), dw.shape[1])
+        return ModelGraph(layers, (by_name["conv1.weight"].shape[1], H, W), dw.shape[1])
     except ShapeError as e:
         raise FormatError(f"shape-manifest mismatch: {e}") from None

@@ -9,6 +9,8 @@ arrays mutated in place (by the optimizer, between passes).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -243,15 +245,42 @@ def _spans(n, k, stride, padding, n_out):
     return spans
 
 
+@functools.lru_cache(maxsize=256)
 def _clipped_taps(H, W, kh, kw, stride, padding, Ho, Wo):
     """The window offsets that reach inside the unpadded [H,W] input, in
     row-major order, as (k, out, inp): tap k = i*kw + j of the patches holds
     the input elements [..., inp] at [..., out], and zero elsewhere."""
     rows = _spans(H, kh, stride, padding, Ho)
     cols = _spans(W, kw, stride, padding, Wo)
-    return [(i * kw + j, (..., r[0], c[0]), (..., r[1], c[1]))
-            for i, r in enumerate(rows) if r
-            for j, c in enumerate(cols) if c]
+    return tuple((i * kw + j, (..., r[0], c[0]), (..., r[1], c[1]))
+                 for i, r in enumerate(rows) if r
+                 for j, c in enumerate(cols) if c)
+
+
+@functools.lru_cache(maxsize=256)
+def _conv_taps(H, W, kh, kw, stride, padding, Ho, Wo):
+    """(input plane, output plane, taps) for conv2d's tap loop; each tap is
+    (k, out, inp, wrap): tap k of the patches, laid out as the output plane,
+    holds the input elements [..., inp], laid out as the input plane, at
+    [..., out]; the [Ho,Wo] columns [..., wrap] of it must then be zeroed.
+
+    At stride 1 with Wo == W both planes are flat: offset (i, j) shifts the
+    whole H*W plane by (i-p)*W + (j-p), one slice per tap. The shift carries
+    |j-p| elements per row across the row end; those are the tap's wrapped
+    columns. Any other geometry keeps _clipped_taps' row blocks (wrap None).
+    """
+    if stride != 1 or Wo != W:
+        blocks = _clipped_taps(H, W, kh, kw, stride, padding, Ho, Wo)
+        return (H, W), (Ho, Wo), tuple((k, out, inp, None) for k, out, inp in blocks)
+    taps = []
+    for k, (_, rows, cols), _ in _clipped_taps(H, W, kh, kw, 1, padding, Ho, Wo):
+        d = k % kw - padding
+        shift = (k // kw - padding) * W + d
+        lo = max(rows.start * W, -shift)
+        hi = min(rows.stop * W, H * W - shift)
+        wrap = None if d == 0 else (..., slice(cols.stop, W) if d > 0 else slice(0, cols.start))
+        taps.append((k, (..., slice(lo, hi)), (..., slice(lo + shift, hi + shift)), wrap))
+    return (H * W,), (Ho * Wo,), tuple(taps)
 
 
 def _bits(a):
@@ -268,14 +297,18 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
     scatter-add back through the patch extraction (col2im).
 
     The patch matrix is filled straight from the unpadded x, one slice
-    copy per kernel offset, each clipped to the outputs whose input lies
-    inside x; the rest stays zero, as if x were zero-padded.
+    copy per kernel offset (_conv_taps: a shift of the whole flat plane,
+    its wrapped columns zeroed after the copy, or a block of rows), each
+    clipped to the outputs whose input lies inside x; the rest stays
+    zero, as if x were zero-padded.
 
-    The col2im scatter adds the same clipped slices, one per kernel
-    offset in row-major order, into a float64 zero array of x's shape,
-    then casts once to the gradient's dtype. Each input element thus sums
-    its patch contributions in float64, in kernel-offset order, starting
-    from +0.0; contributions that land in the padding are never made.
+    The col2im scatter adds the same slices, one per kernel offset in
+    row-major order, into a float64 zero array of x's shape, then casts
+    once to the gradient's dtype. Each input element thus sums its patch
+    contributions in float64, in kernel-offset order, starting from +0.0,
+    so no sum is -0.0 and the +0.0 a plane slice adds from its zeroed
+    wrapped columns changes none; contributions that land in the padding
+    are never made.
     """
     stride = int(stride)
     padding = int(padding)
@@ -300,10 +333,14 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
         )
 
     Ho, Wo = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
-    taps = _clipped_taps(H, W, kh, kw, stride, padding, Ho, Wo)
+    in_plane, out_plane, taps = _conv_taps(H, W, kh, kw, stride, padding, Ho, Wo)
     cols = (np.zeros if padding else np.empty)((N, C, kh * kw, Ho, Wo), x.dtype)
-    for k, out_ix, in_ix in taps:
-        cols[:, :, k][out_ix] = x.data[in_ix]
+    planes = cols.reshape(N, C, kh * kw, *out_plane)
+    xs = x.data.reshape(N, C, *in_plane)
+    for k, out_ix, in_ix, wrap in taps:
+        planes[:, :, k][out_ix] = xs[in_ix]
+        if wrap:
+            cols[:, :, k][wrap] = 0
     cols = cols.reshape(N, C * kh * kw, Ho * Wo)
     wr = w.data.reshape(F, -1)
     out = np.matmul(wr, cols).reshape(N, F, Ho, Wo)
@@ -318,10 +355,13 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
             db = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
             dcols = np.matmul(wr.T, gr).reshape(N, C, kh * kw, Ho, Wo)
-            dx = np.zeros(x.shape)
-            for k, out_ix, in_ix in taps:
-                dx[in_ix] += dcols[:, :, k][out_ix]
-            dx = dx.astype(g.dtype, copy=False)
+            dplanes = dcols.reshape(N, C, kh * kw, *out_plane)
+            dx = np.zeros((N, C, *in_plane))
+            for k, out_ix, in_ix, wrap in taps:
+                if wrap:
+                    dcols[:, :, k][wrap] = 0
+                dx[in_ix] += dplanes[:, :, k][out_ix]
+            dx = dx.reshape(x.shape).astype(g.dtype, copy=False)
         return dx, dw, db
 
     return _emit(out, (x, w, b), bwd, tape)
@@ -331,19 +371,21 @@ def maxpool2d(x, window, stride, tape=None):
     """Per-window max over [N,C,H,W]; ties route gradient to the first
     (row-major) maximal element of the window.
 
-    The forward is a comparison cascade over the window's strided taps in
-    row-major order: a tap replaces the running max only where it is
-    strictly greater, so the first maximal element wins, signed zeros
-    included. NaN inputs are outside this contract. The backward
-    recomputes each tap's first-max hit against the output. Disjoint
+    The forward is a comparison cascade over the window's taps in
+    row-major order, each copied out of x into a contiguous array first:
+    a tap replaces the running max only where it is strictly greater, so
+    the first maximal element wins, signed zeros included. NaN inputs are
+    outside this contract. The cascade keeps each tap's v > max mask, and
+    the backward reads the first-max hits from them: the last tap that
+    raised the running max is the window's first maximal one. Disjoint
     windows (stride >= window) assign each tap's hit gradients of g + 0
     into a zero array, so a -0.0 gradient lands as +0.0. Overlapping
     windows (stride < window) add the hit gradients into a float64 zero
     array in row-major window order, then cast once to the gradient's
     dtype.
 
-    Both passes select values through their bit patterns (an all-ones
-    mask ANDed with the bits) instead of np.where, whose per-element
+    Both passes select values through their bit patterns (the bits
+    multiplied by a 0/1 mask) instead of np.where, whose per-element
     branch mispredicts on pooling data and costs several times as much.
     """
     window = int(window)
@@ -358,31 +400,36 @@ def maxpool2d(x, window, stride, tape=None):
 
     Ho, Wo = (H - window) // stride + 1, (W - window) // stride + 1
     tap_ix = [inp for _, _, inp in _clipped_taps(H, W, window, window, stride, 0, Ho, Wo)]
-    taps = [x.data[inp] for inp in tap_ix]
-    out = taps[0].copy()
+    out = x.data[tap_ix[0]].copy()
     bits = _bits(out)
-    for v in taps[1:]:
-        # out = np.where(v > out, v, out), in place
-        bits ^= (bits ^ _bits(v)) & np.negative(v > out, dtype=bits.dtype)
+    gains = []
+    for inp in tap_ix[1:]:
+        v = x.data[inp].copy()
+        gain = v > out
+        # out = np.where(gain, v, out), in place, with v's copy as the temporary
+        vbits = np.bitwise_xor(_bits(v), bits, out=_bits(v))
+        bits ^= np.multiply(vbits, gain, out=vbits)
+        gains.append(gain)
 
     def bwd(g):
         free = np.ones(out.shape, dtype=bool)
         hits = []
-        for v in taps:
-            hit = (v == out) & free
+        for gain in gains[::-1]:
+            hit = gain & free
             free ^= hit
             hits.append(hit)
+        hits = [free] + hits[::-1]
         if stride >= window:
             dx = np.zeros(x.shape, g.dtype)
             gbits = _bits(g + 0)
             for inp, hit in zip(tap_ix, hits):
-                np.bitwise_and(gbits, np.negative(hit, dtype=gbits.dtype), out=_bits(dx[inp]))
+                np.multiply(gbits, hit, out=_bits(dx[inp]))
             return (dx,)
         dx = np.zeros(x.shape)
         gbits = _bits(g)
         # reverse tap order visits the windows sharing an element in row-major order
         for inp, hit in zip(tap_ix[::-1], hits[::-1]):
-            dx[inp] += (gbits & np.negative(hit, dtype=gbits.dtype)).view(g.dtype)  # g, or +0.0
+            dx[inp] += (gbits * hit).view(g.dtype)  # g, or +0.0
         return (dx.astype(g.dtype, copy=False),)
 
     return _emit(out, (x,), bwd, tape)

@@ -17,7 +17,7 @@ from xferad.errors import (
     ContractError, FormatError, ShapeError, UndefinedMetricError, XferadError,
 )
 
-from test_nn import mismatched_weight_records, write_weight_records
+from test_nn import mismatched_weight_records, wrapped_extent_weights, write_weight_records
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +232,15 @@ def test_evaluate_nan_head_under_a_valid_crc_exits_format(corpus, source_weights
 def test_evaluate_weights_whose_shapes_do_not_compose_exit_format(corpus, task_file, tmp_path):
     path = tmp_path / "mismatched.xfaw"
     write_weight_records(path, mismatched_weight_records("conv2-8-channels"))
+    out = tmp_path / "out"
+    assert main(["evaluate", *dataset_flags(corpus), "--weights", str(path),
+                 "--task", task_file, "--out-dir", str(out)]) == EXIT_FORMAT
+    assert not out.exists()
+
+
+def test_evaluate_weights_whose_extents_wrap_int64_exit_format(corpus, task_file, tmp_path):
+    path = tmp_path / "wrapped.xfaw"
+    wrapped_extent_weights(path)
     out = tmp_path / "out"
     assert main(["evaluate", *dataset_flags(corpus), "--weights", str(path),
                  "--task", task_file, "--out-dir", str(out)]) == EXIT_FORMAT

@@ -8,6 +8,7 @@ from xferad import data, evaluate
 from xferad.errors import CapacityError, FormatError, ShapeError
 
 import ref_kernels
+from mutation import sample_mutations
 from rsscheck import peak_rss_growth
 from taskstats import hypergeom_mean_sigma
 
@@ -54,6 +55,40 @@ def test_idx_truncated_payload_reports_offset(tmp_path):
     p_img.write_bytes(blob[:-5])
     with pytest.raises(FormatError, match="truncated at byte"):
         data.load_idx(p_img, p_lbl)
+
+
+def test_idx_overlong_file_is_format_error(tmp_path):
+    p_img, p_lbl = write_idx_pair(tmp_path, np.zeros((2, 4, 4), np.uint8), np.zeros(2, np.uint8))
+    for path, size in ((p_img, 48), (p_lbl, 10)):
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(FormatError, match=f"overlong at byte {size + 1}, .* gives {size} bytes"):
+            data.load_idx(p_img, p_lbl)
+        path.write_bytes(blob)
+
+
+def test_idx_header_mutations_are_format_error(tmp_path):
+    """Each of a seeded 1,000 of the 4,080 single-byte changes to the images
+    header, and 500 of the 2,040 to the labels header, raises FormatError:
+    a file must be exactly the size its header gives, so rows 28 -> 1 no
+    longer loads 50 images of 1x28 from the first 1,400 pixels."""
+    rng = np.random.default_rng(5)
+    p_img, p_lbl = write_idx_pair(tmp_path, rng.integers(0, 256, (50, 28, 28), np.uint8),
+                                  rng.integers(0, 10, 50, np.uint8))
+    wrong = []
+    for path, head, count in ((p_img, 16, 1000), (p_lbl, 8, 500)):
+        blob = path.read_bytes()
+        for off, value, bad in sample_mutations(blob, range(head), count, seed=head):
+            path.write_bytes(bad)
+            try:
+                data.load_idx(p_img, p_lbl)
+                wrong.append((path.name, off, value, "loaded"))
+            except FormatError:
+                pass
+            except Exception as e:  # noqa: BLE001 - any other outcome is the fault
+                wrong.append((path.name, off, value, repr(e)))
+        path.write_bytes(blob)
+    assert not wrong
 
 
 def test_idx_count_disagreement(tmp_path):

@@ -8,6 +8,8 @@ from xferad import nn, transfer
 from xferad import tensor as T
 from xferad.errors import ContractError, FormatError, ShapeError
 
+from mutation import sample_mutations, weight_structure_offsets, with_weight_crc
+
 
 def small_model(seed=0):
     return nn.build_small_convnet((3, 32, 32), 8, seed=seed)
@@ -481,3 +483,74 @@ def test_undecodable_record_name_is_format_error(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="UTF-8"):
         nn.load_weights(path)
+
+
+def wrapped_extent_weights(path):
+    """A small_model file, valid CRC, whose conv1.weight extents are four
+    of 65,536: 2**64 elements, which an int64 product counts as 0."""
+    nn.save_weights(small_model(), path)
+    blob = bytearray(path.read_bytes())
+    at = 12 + 2 + len("conv1.weight") + 1
+    blob[at:at + 16] = struct.pack("<4I", *[65536] * 4)
+    path.write_bytes(with_weight_crc(bytes(blob)))
+
+
+def test_record_extents_whose_product_wraps_int64_are_format_error(tmp_path):
+    path = tmp_path / "model.xfaw"
+    wrapped_extent_weights(path)
+    with pytest.raises(FormatError, match="truncated .*conv1.weight"):
+        nn.load_weights(path)
+
+
+def test_rank_above_the_largest_saved_rank_is_format_error(tmp_path):
+    path = tmp_path / "model.xfaw"
+    nn.save_weights(small_model(), path)
+    blob = bytearray(path.read_bytes())
+    blob[12 + 2 + len("conv1.weight")] = 65
+    path.write_bytes(with_weight_crc(bytes(blob)))
+    with pytest.raises(FormatError, match="conv1.weight .*rank 65"):
+        nn.load_weights(path)
+
+
+def renamed_weight_records(case):
+    """A small_model's records, named other than save_weights names them."""
+    records = [(n, p.data) for n, p in small_model().named_parameters()]
+    records.append(("__meta__.input_hw", np.array([32, 32], np.float32)))
+    if case == "repeated-conv2":  # once loaded as a 4-block net
+        return records[:4] + records[2:]
+    if case == "renamed-conv1":  # once loaded as a 2-block net of 16 input channels
+        return [("conv1.weighx", records[0][1])] + records[1:]
+    return [records[4], records[5], *records[:4], *records[6:]]  # conv3 first
+
+
+@pytest.mark.parametrize("case,message", [
+    ("repeated-conv2", "record 5 is 'conv2.weight', expected 'conv3.weight'"),
+    ("renamed-conv1", "record 1 is 'conv1.weighx', expected 'conv1.weight'"),
+    ("conv3-first", "record 1 is 'conv3.weight', expected 'conv1.weight'"),
+])
+def test_records_not_named_as_save_weights_names_them_are_format_error(tmp_path, case, message):
+    path = tmp_path / "model.xfaw"
+    write_weight_records(path, renamed_weight_records(case))
+    with pytest.raises(FormatError, match=message):
+        nn.load_weights(path)
+
+
+def test_structure_byte_mutations_under_a_valid_crc_are_format_error(tmp_path):
+    """Each of a seeded 1,000 of the 56,100 single-byte changes to the header,
+    names, ranks and extents, under a recomputed CRC, raises FormatError."""
+    path = tmp_path / "model.xfaw"
+    nn.save_weights(small_model(), path)
+    blob = path.read_bytes()
+    offsets = weight_structure_offsets(blob)
+    assert len(offsets) == 220
+    wrong = []
+    for off, value, bad in sample_mutations(blob, offsets, 1000, seed=19):
+        path.write_bytes(with_weight_crc(bad))
+        try:
+            nn.load_weights(path)
+            wrong.append((off, value, "loaded"))
+        except FormatError:
+            pass
+        except Exception as e:  # noqa: BLE001 - any other outcome is the fault
+            wrong.append((off, value, repr(e)))
+    assert not wrong

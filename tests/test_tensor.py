@@ -216,8 +216,11 @@ def test_maxpool_matches_oracle_bytes(dtype, kind):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv2d_matches_oracle_bytes(dtype, kind):
     rng = _rng(dtype, kind)
+    # kernels of 5 give a tap 2 wrapped columns; 1-wide and 1-tall inputs wrap every tap off j = p
     grid = [((2, 3, H, W), (4, 3, kh, kw), stride, padding) for kh, kw, stride, padding, (H, W)
-            in itertools.product((1, 2, 3), (1, 2, 3), (1, 2), (0, 1, 2), ((5, 7), (6, 6)))]
+            in itertools.product((1, 2, 3, 5), (1, 2, 3, 5), (1, 2), (0, 1, 2),
+                                 ((5, 7), (6, 6), (1, 4), (4, 1)))
+            if kh <= H + 2 * padding and kw <= W + 2 * padding]
     grid += [((n, C, H, W), (F, C, 3, 3), 1, 1)
              for n in NETWORK_BATCHES for C, F, H, W in NETWORK_CONVS]
     for x_shape, w_shape, stride, padding in grid:
@@ -233,6 +236,12 @@ def test_conv2d_matches_oracle_bytes(dtype, kind):
             g = _values(rng, ref_out.shape, dtype, g_kind)
             for new, ref in zip(tape.nodes[-1].backward_fn(g), ref_bwd(g)):
                 assert_same_bytes(new, ref)
+
+
+def test_network_convs_take_the_whole_plane_geometry():
+    for _, _, H, W in NETWORK_CONVS:
+        in_plane, out_plane, taps = T._conv_taps(H, W, 3, 3, 1, 1, H, W)
+        assert in_plane == out_plane == (H * W,) and len(taps) == 9
 
 
 @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])

@@ -474,38 +474,43 @@ def test_scores_and_head_inputs_independent_of_the_inference_batch(monkeypatch, 
     prefix_features (transfer reads it through the evaluate module).
 
     No activation entering the head depends on it. The dense head's rows
-    agree between chunks of 16 and 64 (4 x 16 + 6 and 64 + 6 rows here),
-    but numpy runs a 1-row product as a matrix-vector call whose last
-    bits differ, so at 1 only the activations are compared."""
+    agree between chunks of 16 and 64, also at 17, 33 and 113 samples,
+    where one of them would leave a last chunk of one row: numpy runs a
+    1-row product as a matrix-vector call whose last bits differ, so
+    anomaly_scores folds that row into the chunk before it, and at 1 only
+    the activations are compared."""
     model = nn.build_small_convnet((3, 16, 16), 2, seed=23, dtype=dtype)
     head = len(model.layers) - 1
-    x = np.random.default_rng(24).random((70, 3, 16, 16)).astype(dtype)
     sizes = []
     forward = model.forward
     monkeypatch.setattr(model, "forward",
                         lambda batch, **kw: sizes.append(len(batch.data)) or forward(batch, **kw))
 
-    def chunks(batch):
-        return [min(batch, len(x) - s) for s in range(0, len(x), batch)]
+    def chunks(n, batch, fold=False):
+        c = [min(batch, n - s) for s in range(0, n, batch)]
+        return c[:-2] + [c[-2] + 1] if fold and len(c) > 1 and c[-1] == 1 else c
 
-    features, scores, head_scores = {}, {}, {}
-    for batch in (1, 16, 64):
-        monkeypatch.setattr(evaluate, "INFER_BATCH", batch)
-        sizes.clear()
-        features[batch] = transfer.prefix_features(model, head, x, np.arange(len(x)))
-        assert sizes == chunks(batch)
-        if batch > 1:
-            scores[batch] = anomaly_scores(model, x)
-            assert sizes == chunks(batch) * 2
-            head_scores[batch] = anomaly_scores(model.suffix(head), features[batch])
-    assert features[1].dtype == dtype
-    assert features[1].tobytes() == features[16].tobytes() == features[64].tobytes()
-    assert scores[16].tobytes() == scores[64].tobytes()
-    assert head_scores[16].tobytes() == head_scores[64].tobytes()
-    # scoring the head on the lookup's features is scoring the whole model
-    # on the preprocessed images, as evaluate did before it used the lookup
-    whole = anomaly_scores(model, data.preprocess_split(x, (16, 16)))
-    assert head_scores[64].tobytes() == whole.tobytes()
+    for n in (17, 33, 70, 113):
+        x = np.random.default_rng([24, n]).random((n, 3, 16, 16)).astype(dtype)
+        features, scores, head_scores = {}, {}, {}
+        for batch in (1, 16, 64):
+            monkeypatch.setattr(evaluate, "INFER_BATCH", batch)
+            sizes.clear()
+            features[batch] = transfer.prefix_features(model, head, x, np.arange(n))
+            assert sizes == chunks(n, batch)
+            if batch > 1:
+                sizes.clear()
+                scores[batch] = anomaly_scores(model, x)
+                assert sizes == chunks(n, batch, fold=True)
+                head_scores[batch] = anomaly_scores(model.suffix(head), features[batch])
+        assert features[1].dtype == dtype
+        assert features[1].tobytes() == features[16].tobytes() == features[64].tobytes()
+        assert scores[16].tobytes() == scores[64].tobytes()
+        assert head_scores[16].tobytes() == head_scores[64].tobytes()
+        # scoring the head on the lookup's features is scoring the whole model
+        # on the preprocessed images, as evaluate did before it used the lookup
+        whole = anomaly_scores(model, data.preprocess_split(x, (16, 16)))
+        assert head_scores[64].tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("selection", [transfer.SELECT_BEST_VAL_AUC, transfer.SELECT_LAST_EPOCH])
