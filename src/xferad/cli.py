@@ -339,13 +339,13 @@ def cmd_evaluate(args):
     ds, digests = _load_dataset(args)
     model = nn.load_weights(args.weights)
     idx = _resolve_task(args.task, ds, digests)
+    os.makedirs(args.out_dir, exist_ok=True)
     # the lookup holds each test sample's input to the head, its GAP vector
     head = len(model.layers) - 1
     test = [idx[s] for s in TASK_SPLITS[2:]]
     features = _feature_lookup(model, head, ds.images, test)
     scored, report = _checked_report(model.suffix(head), *map(features, test), args.threshold)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.json")
     roc_path = os.path.join(args.out_dir, "roc.csv")
     scores_path = os.path.join(args.out_dir, "scores.csv")

@@ -7,6 +7,7 @@ tasks is normal = 0, anomalous = 1.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -79,6 +80,28 @@ def _be_u32(blob, off, what, path):
     return struct.unpack_from(">I", blob, off)[0]
 
 
+def _read_idx(path, magic, fields):
+    """(u32 header values, uint8 payload) of the IDX file at path.
+
+    The header is magic, then one u32 per name in fields: a count, then
+    the extents of one item, each >= 1. The file must be exactly the size
+    the header gives: the header plus count * extents bytes.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    found = _be_u32(blob, 0, "magic", path)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found:#010x} at byte 0, expected {magic:#010x}")
+    values = [_be_u32(blob, 4 * i, name, path) for i, name in enumerate(fields, 1)]
+    if min(values[1:], default=1) < 1:
+        raise FormatError(f"{path}: image size {'x'.join(map(str, values[1:]))} must be positive")
+    head, size = 4 * (1 + len(fields)), math.prod(values)
+    if len(blob) != head + size:
+        state = "truncated" if len(blob) < head + size else "overlong"
+        raise FormatError(f"{path}: {state} at byte {len(blob)}, its header gives {head + size} bytes")
+    return values, np.frombuffer(blob, dtype=np.uint8, count=size, offset=head)
+
+
 def load_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into a LabeledImageSet.
 
@@ -86,59 +109,29 @@ def load_idx(images_path, labels_path):
     between the two files, and each file must be exactly the size its
     header gives.
     """
-    with open(images_path, "rb") as f:
-        blob = f.read()
-    magic = _be_u32(blob, 0, "magic", images_path)
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad magic {magic:#010x} at byte 0, expected {IDX_IMAGES_MAGIC:#010x}"
-        )
-    count = _be_u32(blob, 4, "image count", images_path)
-    rows = _be_u32(blob, 8, "row count", images_path)
-    cols = _be_u32(blob, 12, "column count", images_path)
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{images_path}: image size {rows}x{cols} must be positive")
-    need = 16 + count * rows * cols
-    if len(blob) != need:
-        state = "truncated" if len(blob) < need else "overlong"
-        raise FormatError(
-            f"{images_path}: {state} at byte {len(blob)}, its header gives {need} bytes"
-        )
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=count * rows * cols, offset=16)
+    (count, rows, cols), pixels = _read_idx(
+        images_path, IDX_IMAGES_MAGIC, ("image count", "row count", "column count"))
+    (lcount,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, ("label count",))
+    if lcount != count:
+        raise FormatError(f"{labels_path}: {lcount} labels but {images_path} has {count} images")
     images = pixels.reshape(count, 1, rows, cols).astype(np.float32)
     images /= 255.0
-
-    with open(labels_path, "rb") as f:
-        lblob = f.read()
-    lmagic = _be_u32(lblob, 0, "magic", labels_path)
-    if lmagic != IDX_LABELS_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad magic {lmagic:#010x} at byte 0, expected {IDX_LABELS_MAGIC:#010x}"
-        )
-    lcount = _be_u32(lblob, 4, "label count", labels_path)
-    if lcount != count:
-        raise FormatError(
-            f"{labels_path}: {lcount} labels but {images_path} has {count} images"
-        )
-    if len(lblob) != 8 + count:
-        state = "truncated" if len(lblob) < 8 + count else "overlong"
-        raise FormatError(
-            f"{labels_path}: {state} at byte {len(lblob)}, its header gives {8 + count} bytes"
-        )
-    labels = np.frombuffer(lblob, dtype=np.uint8, count=count, offset=8).astype(np.int64)
-
     n_classes = int(labels.max()) + 1 if count else 0
     return LabeledImageSet(images, labels, [str(c) for c in range(n_classes)])
 
 
 def write_idx(images, labels, images_path, labels_path):
-    """Serialize grayscale [N,1,H,W] images in [0,1] back to IDX files."""
+    """Serialize grayscale [N,1,H,W] images in [0,1] back to IDX files, quantized
+    in chunks of _CHUNK_PIXELS into one uint8 array that is written after the work."""
     images = np.asarray(images)
     n, _, rows, cols = images.shape
-    pix = np.rint(images * 255.0).clip(0, 255).astype(np.uint8)
+    pix = np.empty(images.shape, dtype=np.uint8)
+    step = max(1, _CHUNK_PIXELS // (rows * cols))
+    for start in range(0, n, step):
+        pix[start:start + step] = np.rint(images[start:start + step] * 255.0).clip(0, 255)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(pix.tobytes())
+        f.write(pix)
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
         f.write(np.asarray(labels, dtype=np.uint8).tobytes())
@@ -188,11 +181,11 @@ def _read_pnm(path):
         raise FormatError(f"{path}: maxval {maxval} unsupported, expected 255")
     if width < 1 or height < 1:
         raise FormatError(f"{path}: image size {width}x{height} must be positive")
-    need = width * height * channels
-    raster = blob[pos:pos + need]
-    if len(raster) < need:
-        raise FormatError(f"{path}: raster truncated, {len(raster)} of {need} bytes")
-    arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
+    need = pos + width * height * channels
+    if len(blob) != need:
+        state = "truncated" if len(blob) < need else "overlong"
+        raise FormatError(f"{path}: {state} at byte {len(blob)}, its header gives {need} bytes")
+    arr = np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, channels)
     image = arr.transpose(2, 0, 1).astype(np.float32)
     image /= 255.0
     return image

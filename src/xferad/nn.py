@@ -28,18 +28,13 @@ _MAX_RANK = 4  # conv kernels; save_weights writes no higher rank
 
 class Layer:
     """Base layer: a kind tag, optional named parameters, and a trainable
-    flag kept only as their requires_grad (True when parameter-free)."""
+    flag read from their requires_grad (True when parameter-free)."""
 
     kind = "?"
 
     @property
     def trainable(self):
         return all(p.requires_grad for p in self.params().values())
-
-    @trainable.setter
-    def trainable(self, value):
-        for p in self.params().values():
-            p.requires_grad = bool(value)
 
     def params(self):
         """Named parameter tensors of this layer ({} when parameter-free)."""
@@ -354,25 +349,47 @@ def load_weights(path):
         raise FormatError(f"crc mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
 
     off = 12
-    records = []
+    names, arrays = [], []
     for _ in range(count):
         name, arr, off = _unpack_record(blob, off)
-        records.append((name, arr))
+        names.append(name)
+        arrays.append(arr)
     if off != len(blob) - 4:
         raise FormatError(f"trailing bytes after record {count} at byte {off}")
-    _check_record_names([n for n, _ in records])
-    return _rebuild_model(dict(records))
 
-
-def _check_record_names(names):
-    """FormatError unless names are save_weights' records, in its order:
-    conv1..convK weight and bias (K >= 1), dense weight and bias, metadata."""
+    # save_weights' records in its order: conv1..convK weight and bias
+    # (K >= 1), dense weight and bias, metadata. Built from the parsed
+    # records, so the file's length bounds the list, not its header.
     blocks = max(1, (len(names) - 3) // 2)
     expected = [f"conv{i}.{p}" for i in range(1, blocks + 1) for p in ("weight", "bias")]
     expected += ["dense.weight", "dense.bias", _META_INPUT_HW]
     for i, (got, want) in enumerate(itertools.zip_longest(names, expected)):
         if got != want:
             raise FormatError(f"record {i + 1} is {got!r}, expected {want!r}")
+    *convs, dw, db, hw = arrays
+
+    if hw.shape != (2,):
+        raise FormatError(f"shape-manifest mismatch: {_META_INPUT_HW} has extents {hw.shape}")
+    if (hw < 1).any() or (hw != np.floor(hw)).any():
+        raise FormatError(f"{_META_INPUT_HW} {hw.tolist()} is not two whole numbers >= 1")
+    # conv1's extents give the input channels and the dense weight's the class
+    # count; T.add would broadcast a (1,) bias. ModelGraph's ops check the rest.
+    if convs[0].ndim != 4:
+        raise FormatError(f"shape-manifest mismatch: conv1.weight has rank {convs[0].ndim}, expected 4")
+    if dw.ndim != 2:
+        raise FormatError(f"shape-manifest mismatch: dense.weight has rank {dw.ndim}, expected 2")
+    if db.shape != (dw.shape[1],):
+        raise FormatError("shape-manifest mismatch: dense.bias does not match dense.weight")
+
+    layers = []
+    for w, b in zip(convs[::2], convs[1::2]):
+        layers += [Conv2d.from_arrays(w.astype(np.float32), b.astype(np.float32)),
+                   Relu(), MaxPool2d()]
+    layers += [GlobalAvgPool(), Dense.from_arrays(dw.astype(np.float32), db.astype(np.float32))]
+    try:
+        return ModelGraph(layers, (convs[0].shape[1], int(hw[0]), int(hw[1])), dw.shape[1])
+    except ShapeError as e:
+        raise FormatError(f"shape-manifest mismatch: {e}") from None
 
 
 def _unpack_record(blob, off):
@@ -406,39 +423,3 @@ def _unpack_record(blob, off):
         raise FormatError(f"record {name} at byte {off} holds a non-finite value")
     off += 4 * n
     return name, arr, off
-
-
-def _rebuild_model(by_name):
-    """Reconstruct the conv-blocks + GAP + dense family from the records
-    _check_record_names accepted."""
-    hw = by_name[_META_INPUT_HW]
-    if hw.shape != (2,):
-        raise FormatError(f"shape-manifest mismatch: {_META_INPUT_HW} has extents {hw.shape}")
-    if (hw < 1).any() or (hw != np.floor(hw)).any():
-        raise FormatError(f"{_META_INPUT_HW} {hw.tolist()} is not two whole numbers >= 1")
-    H, W = int(hw[0]), int(hw[1])
-
-    layers = []
-    for i in range(1, (len(by_name) - 3) // 2 + 1):
-        w = by_name[f"conv{i}.weight"]
-        b = by_name[f"conv{i}.bias"]
-        if w.ndim != 4:
-            raise FormatError(f"shape-manifest mismatch: conv{i}.weight has rank {w.ndim}, expected 4")
-        if b.shape != (w.shape[0],):
-            raise FormatError(f"shape-manifest mismatch: conv{i}.bias does not match conv{i}.weight")
-        layers += [Conv2d.from_arrays(w.astype(np.float32), b.astype(np.float32)),
-                   Relu(), MaxPool2d()]
-    layers.append(GlobalAvgPool())
-
-    dw = by_name["dense.weight"]
-    db = by_name["dense.bias"]
-    if dw.ndim != 2:
-        raise FormatError(f"shape-manifest mismatch: dense.weight has rank {dw.ndim}, expected 2")
-    if db.shape != (dw.shape[1],):
-        raise FormatError("shape-manifest mismatch: dense.bias does not match dense.weight")
-    layers.append(Dense.from_arrays(dw.astype(np.float32), db.astype(np.float32)))
-
-    try:
-        return ModelGraph(layers, (by_name["conv1.weight"].shape[1], H, W), dw.shape[1])
-    except ShapeError as e:
-        raise FormatError(f"shape-manifest mismatch: {e}") from None

@@ -71,11 +71,13 @@ def make_digit_set(per_class, seed, classes=tuple(range(10))):
 
     Each sample draws, in order: glyph height, shear, intensity, top and
     left placement, noise sigma, the noise image and a brightness offset;
-    one permutation of all samples is drawn last.
+    one permutation of all samples is drawn last. Each sample is rendered
+    in one float64 scratch canvas and stored clipped to [0,1] as float32.
     """
     rng = np.random.default_rng([seed, 777])
     labels = np.repeat(np.asarray(classes, dtype=np.int64), per_class)
-    canvas = np.zeros((len(labels), IMAGE_SIZE, IMAGE_SIZE))
+    images = np.empty((len(labels), 1, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+    canvas = np.empty((IMAGE_SIZE, IMAGE_SIZE))
     for i, digit in enumerate(labels.tolist()):
         h = int(rng.integers(14, 23))
         glyph = _glyph(digit, h)
@@ -84,10 +86,11 @@ def make_digit_set(per_class, seed, classes=tuple(range(10))):
         big *= float(rng.uniform(0.65, 1.0))
         top = int(rng.integers(0, IMAGE_SIZE - h + 1))
         left = int(rng.integers(0, IMAGE_SIZE - w + 1))
-        canvas[i, top:top + h, left:left + w] = big
-        canvas[i] += rng.normal(0.0, float(rng.uniform(0.04, 0.10)), (IMAGE_SIZE, IMAGE_SIZE))
-        canvas[i] += float(rng.uniform(0.0, 0.06))
-    images = np.clip(canvas, 0.0, 1.0, out=canvas).astype(np.float32)[:, None]  # -> [N,1,28,28]
+        canvas.fill(0.0)
+        canvas[top:top + h, left:left + w] = big
+        canvas += rng.normal(0.0, float(rng.uniform(0.04, 0.10)), (IMAGE_SIZE, IMAGE_SIZE))
+        canvas += float(rng.uniform(0.0, 0.06))
+        np.clip(canvas, 0.0, 1.0, out=images[i, 0])
     order = rng.permutation(len(labels))
     n_classes = int(max(classes)) + 1
     return LabeledImageSet(images[order], labels[order], [str(c) for c in range(n_classes)])

@@ -49,11 +49,6 @@ class FreezePolicy:
 
     frozen_layer_count: int = 0
 
-    @staticmethod
-    def fixed_extractor(model):
-        """Freeze everything except the head."""
-        return FreezePolicy(len(model.parameterized_layers()) - 1)
-
 
 @dataclass
 class TransferConfig:

@@ -257,10 +257,13 @@ def test_diverging_pretrain_exits_1_and_writes_nothing(corpus, tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["make-synth", "pretrain", "make-task", "transfer"])
+@pytest.mark.parametrize("command", ["make-synth", "pretrain", "make-task", "transfer",
+                                     "evaluate", "benchmark"])
 def test_command_creates_a_missing_output_directory(corpus, source_weights, task_file,
                                                     tmp_path, command):
     new = tmp_path / "a" / "b"
+    detector = str(tmp_path / "detector.xfaw")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
     outputs = {
         "make-synth": ["--per-class", "2", "--out-images", str(new / "images" / "i"),
                        "--out-labels", str(new / "labels" / "l")],
@@ -270,10 +273,35 @@ def test_command_creates_a_missing_output_directory(corpus, source_weights, task
                       "--test-per-class", "2", "--out", str(new / "t.json")],
         "transfer": [*dataset_flags(corpus), "--source-weights", source_weights,
                      "--task", task_file, "--epochs", "1", "--out", str(new / "w.xfaw")],
+        "evaluate": [*dataset_flags(corpus), "--weights", detector, "--task", task_file,
+                     "--out-dir", str(new)],
+        "benchmark": [*dataset_flags(corpus), "--source-weights", source_weights,
+                      "--train-per-class", "10", "--test-per-class", "2", "--epochs", "1",
+                      "--out-dir", str(new)],
     }
     assert main([command, *outputs[command]]) == 0
     written = [p for p in new.rglob("*") if p.is_file()]
     assert written and all(p.stat().st_size for p in written)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "benchmark"])
+def test_out_dir_that_cannot_be_created_exits_1_before_any_forward_pass(
+        corpus, source_weights, task_file, tmp_path, monkeypatch, command):
+    detector = str(tmp_path / "detector.xfaw")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+
+    def no_work(*args):
+        raise AssertionError("a forward pass ran before the output directory was made")
+
+    monkeypatch.setattr(transfer, "prefix_features", no_work)
+    argv = {
+        "evaluate": ["--weights", detector, "--task", task_file],
+        "benchmark": ["--source-weights", source_weights, "--train-per-class", "10",
+                      "--test-per-class", "2", "--epochs", "1"],
+    }[command]
+    assert main([command, *dataset_flags(corpus), *argv, "--out-dir", str(blocker)]) == 1
 
 
 def test_usage_error_exits_2():
@@ -678,3 +706,72 @@ def test_manifest_parameters_of_each_command(corpus, source_weights, task_file, 
     doc = json.load(open(manifest))
     assert doc["command"] == command
     assert doc["parameters"] == expected
+
+
+def write_ragged_image_dir(root):
+    """Two classes of ten PGM/PPM images each, of mixed sizes and channels."""
+    rng = np.random.default_rng(21)
+    for cls in ("plain", "cracked"):
+        (root / cls).mkdir(parents=True)
+        for i in range(10):
+            h, w = (17, 20) if i % 3 else (24, 18)
+            magic, channels, ext = (b"P6", 3, "ppm") if i % 2 else (b"P5", 1, "pgm")
+            header = magic + f"\n{w} {h}\n255\n".encode()
+            raster = rng.integers(0, 256, h * w * channels, np.uint8).tobytes()
+            (root / cls / f"{i:02d}.{ext}").write_bytes(header + raster)
+
+
+def write_cifar_dir(root):
+    """Two CIFAR-10 batch files holding 8 random images of each class."""
+    root.mkdir()
+    rng = np.random.default_rng(22)
+    rec = rng.integers(0, 256, (80, 3073), np.uint8)
+    rec[:, 0] = rng.permutation(np.repeat(np.arange(10, dtype=np.uint8), 8))
+    for i, half in enumerate((rec[:40], rec[40:]), 1):
+        (root / f"data_batch_{i}.bin").write_bytes(half.tobytes())
+
+
+@pytest.mark.parametrize("data_format", ["dir", "cifar10"])
+def test_every_command_runs_on_the_dir_and_cifar10_formats(tmp_path, monkeypatch, data_format):
+    """The six dataset commands exit 0 on a ragged PGM/PPM directory and on
+    two CIFAR-10 batch files; manifests record the batch files' digests
+    (a directory records none); a second transfer writes the same bytes."""
+    import hashlib
+
+    monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
+    root = tmp_path / "data"
+    if data_format == "dir":
+        write_ragged_image_dir(root)
+        flags = ["--data-format", "dir", "--root", str(root), "--class-dirs", "plain,cracked"]
+        inputs = {}
+    else:
+        write_cifar_dir(root)
+        flags = ["--data-format", "cifar10", "--root", str(root)]
+        inputs = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(root.glob("*.bin"))}
+    flags += ["--size", "16", "16"]
+    out = tmp_path / "out"
+    source, task = str(out / "source.xfaw"), str(out / "task.json")
+    evaluated, benched = out / "eval", out / "bench"
+    split = ["--train-per-class", "6", "--test-per-class", "2"]
+    runs = [
+        ("pretrain", ["--classes", "0,1", "--per-class", "4", "--epochs", "1", "--out", source],
+         source + ".manifest.json"),
+        ("make-task", ["--anomaly-class", "1", *split, "--out", task], task + ".manifest.json"),
+        ("validate-task", ["--task", task], None),
+        ("transfer", ["--source-weights", source, "--task", task, "--epochs", "1",
+                      "--out", str(out / "w1.xfaw")], str(out / "w1.xfaw.manifest.json")),
+        ("transfer", ["--source-weights", source, "--task", task, "--epochs", "1",
+                      "--out", str(out / "w2.xfaw")], None),
+        ("evaluate", ["--weights", str(out / "w1.xfaw"), "--task", task,
+                      "--out-dir", str(evaluated)], str(evaluated / "evaluate.manifest.json")),
+        ("benchmark", ["--source-weights", source, *split, "--epochs", "1",
+                       "--out-dir", str(benched)], str(benched / "benchmark.manifest.json")),
+    ]
+    for command, argv, manifest in runs:
+        assert main([command, *flags, *argv]) == 0, command
+        if manifest:
+            recorded = json.load(open(manifest))["inputs"]
+            others = {source, task, str(out / "w1.xfaw")}
+            assert {p: d for p, d in recorded.items() if p not in others} == inputs, command
+    assert (out / "w1.xfaw").read_bytes() == (out / "w2.xfaw").read_bytes()

@@ -182,6 +182,50 @@ def test_pnm_size_must_be_positive(tmp_path, header):
         data._read_pnm(p)
 
 
+@pytest.mark.parametrize("magic,channels,count,same", [(b"P5", 1, 13 * 255, 20),
+                                                      (b"P6", 3, 600, 2)])
+def test_pnm_header_mutations_are_format_error_or_the_same_image(tmp_path, magic, channels,
+                                                                  count, same):
+    """Every one of the 3,315 single-byte changes to a 32x32 P5 file's 13
+    header bytes, and a seeded 600 of a P6 file's, raises FormatError or
+    loads the identical image: a file must hold exactly its one image, so
+    width 32 -> 2 no longer loads a 32x2 image from the first raster bytes,
+    while a whitespace byte swapped for another still loads (20 of the P5
+    changes, 2 of the P6 sample)."""
+    header = magic + b"\n32 32\n255\n"
+    raster = np.random.default_rng(8).integers(0, 256, 32 * 32 * channels, np.uint8)
+    blob = header + raster.tobytes()
+    p = tmp_path / "image.pnm"
+    p.write_bytes(blob)
+    want = data._read_pnm(p)
+    wrong, loaded = [], 0
+    for off, value, bad in sample_mutations(blob, range(len(header)), count, seed=channels):
+        p.write_bytes(bad)
+        try:
+            got = data._read_pnm(p)
+        except FormatError:
+            continue
+        except Exception as e:  # noqa: BLE001 - any other outcome is the fault
+            wrong.append((off, value, repr(e)))
+            continue
+        if got.shape != want.shape or got.tobytes() != want.tobytes():
+            wrong.append((off, value, f"loaded {got.shape}"))
+        loaded += 1
+    assert not wrong
+    assert loaded == same
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_pnm_file_must_end_where_its_raster_ends(tmp_path, extra):
+    p = tmp_path / "a.pgm"
+    blob = b"P5\n2 2\n255\n" + bytes(4)
+    p.write_bytes(blob[:extra] if extra < 0 else blob + bytes(extra))
+    state = "truncated" if extra < 0 else "overlong"
+    message = f"{state} at byte {len(blob) + extra}, its header gives 15 bytes"
+    with pytest.raises(FormatError, match=message):
+        data._read_pnm(p)
+
+
 def make_image_dir(tmp_path):
     neg = tmp_path / "negative"
     pos = tmp_path / "positive"

@@ -251,7 +251,8 @@ def train_steps(model, steps, lr=1e-3, momentum=0.0, batch=None, seed=5):
 
 def test_frozen_layer_untouched_after_training():
     m = small_model()
-    m.layers[0].trainable = False
+    m.layers[0].weight.requires_grad = False
+    m.layers[0].bias.requires_grad = False
     frozen_w = m.layers[0].weight.data.copy()
     frozen_b = m.layers[0].bias.data.copy()
     train_steps(m, 5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ref_kernels
+from rsscheck import peak_rss_growth
 from xferad import data, synth
 from xferad.cli import main
 
@@ -48,3 +49,17 @@ def test_make_synth_idx_equals_oracle_write_idx(tmp_path):
     data.write_idx(*ref_kernels.make_digit_set(6, 5), ref_imgs, ref_lbls)
     assert open(imgs, "rb").read() == open(ref_imgs, "rb").read()
     assert open(lbls, "rb").read() == open(ref_lbls, "rb").read()
+
+
+def test_write_digit_idx_peak_is_the_set_and_its_permuted_copy(tmp_path):
+    """Writing 10,000 digits raises the peak RSS of a fresh process by at
+    most twice the float32 set (the rendered set, then its shuffled copy)
+    plus 4 MiB: no float64 canvas of the whole set and no whole-set
+    quantization temporaries."""
+    set_bytes = 10_000 * 28 * 28 * 4
+    growth = peak_rss_growth(
+        f"import os\nfrom xferad import synth\nout = {str(tmp_path)!r}\n"
+        "synth.make_digit_set(1, 0)",
+        "synth.write_digit_idx(os.path.join(out, 'i'), os.path.join(out, 'l'), 1000, 3)",
+    )
+    assert growth <= 2 * set_bytes + 4 * 2**20

@@ -101,15 +101,6 @@ def test_apply_freeze_rejects_freezing_the_head():
         transfer.apply_freeze(m, transfer.FreezePolicy(4))
 
 
-def test_fixed_extractor_policy_freezes_all_but_head():
-    m = small_source()
-    policy = transfer.FreezePolicy.fixed_extractor(m)
-    assert policy.frozen_layer_count == 3
-    frozen = transfer.apply_freeze(m, policy)
-    flags = [l.trainable for l in frozen.parameterized_layers()]
-    assert flags == [False, False, False, True]
-
-
 def run_target(model, task, strategy, freeze_depth, epochs=3, seed=0, lr=1e-2,
                selection=transfer.SELECT_BEST_VAL_AUC):
     policy = transfer.FreezePolicy(freeze_depth)
@@ -163,7 +154,8 @@ def test_train_target_rejects_a_frozen_head_before_any_work(monkeypatch, strateg
                                                             epochs):
     policy = transfer.FreezePolicy(depth)
     m = transfer.apply_freeze(transfer.replace_head(small_source(), 2, seed=0), policy)
-    m.layers[-1].trainable = False
+    m.layers[-1].weight.requires_grad = False
+    m.layers[-1].bias.requires_grad = False
     config = transfer.TransferConfig(strategy=strategy, freeze=policy, epochs=epochs, seed=0)
 
     def no_work(*args):
