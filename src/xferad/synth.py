@@ -72,7 +72,8 @@ def make_digit_set(per_class, seed, classes=tuple(range(10))):
     Each sample draws, in order: glyph height, shear, intensity, top and
     left placement, noise sigma, the noise image and a brightness offset;
     one permutation of all samples is drawn last. Each sample is rendered
-    in one float64 scratch canvas and stored clipped to [0,1] as float32.
+    in one float64 scratch canvas and stored clipped to [0,1] as float32,
+    and the set is shuffled in place.
     """
     rng = np.random.default_rng([seed, 777])
     labels = np.repeat(np.asarray(classes, dtype=np.int64), per_class)
@@ -92,8 +93,26 @@ def make_digit_set(per_class, seed, classes=tuple(range(10))):
         canvas += float(rng.uniform(0.0, 0.06))
         np.clip(canvas, 0.0, 1.0, out=images[i, 0])
     order = rng.permutation(len(labels))
+    _permute_in_place(images, order)
     n_classes = int(max(classes)) + 1
-    return LabeledImageSet(images[order], labels[order], [str(c) for c in range(n_classes)])
+    return LabeledImageSet(images, labels[order], [str(c) for c in range(n_classes)])
+
+
+def _permute_in_place(images, order):
+    """images[:] = images[order] without a second copy of the set: each
+    cycle of order shifts its samples one place, through one temporary."""
+    tmp = np.empty_like(images[0])
+    order = order.tolist()  # -1 marks a filled slot
+    for start in range(len(order)):
+        if order[start] < 0:
+            continue
+        tmp[...] = images[start]
+        i = start
+        while order[i] != start:
+            images[i] = images[order[i]]
+            order[i], i = -1, order[i]
+        images[i] = tmp
+        order[i] = -1
 
 
 def write_digit_idx(images_path, labels_path, per_class, seed):

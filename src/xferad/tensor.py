@@ -288,6 +288,15 @@ def _bits(a):
     return a.view(f"u{a.itemsize}")
 
 
+def _dw_takes_nt(F, K, N, P):
+    """Whether conv2d's dw ([F,K], K = C*kh*kw, from N samples of P = Ho*Wo
+    outputs) is one NT GEMM over channel-major copies. At M*N*K <= 100**3
+    OpenBLAS's small-matrix kernels give bits that depend on the operand
+    layout; above it NT gives tensordot's NN bytes. Vector extents run as
+    gemv, and planes under 256 (conv3's 8x8) gain nothing from the copies."""
+    return F > 1 and K > 1 and P >= 256 and F * K * N * P > 100 ** 3
+
+
 def conv2d(x, w, b, stride=1, padding=0, tape=None):
     """Batched 2-d cross-correlation with per-filter bias.
 
@@ -309,6 +318,11 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
     so no sum is -0.0 and the +0.0 a plane slice adds from its zeroed
     wrapped columns changes none; contributions that land in the padding
     are never made.
+
+    dw is one NT GEMM of the output gradient and the patches, copied
+    channel-major to [F, N*Ho*Wo] and [C*kh*kw, N*Ho*Wo], on the shapes
+    _dw_takes_nt picks (the bytes of tensordot's NN product); every other
+    shape keeps tensordot.
     """
     stride = int(stride)
     padding = int(padding)
@@ -350,7 +364,14 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
         gr = g.reshape(N, F, Ho * Wo)
         dw = db = dx = None
         if w.requires_grad:
-            dw = np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+            if _dw_takes_nt(F, C * kh * kw, N, Ho * Wo):
+                # channel-major copies move contiguous Ho*Wo runs, where
+                # tensordot's sample-major copy of cols transposes element-wise
+                gk = np.ascontiguousarray(gr.transpose(1, 0, 2)).reshape(F, -1)
+                ck = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(C * kh * kw, -1)
+                dw = np.dot(gk, ck.T).reshape(w.shape)
+            else:
+                dw = np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
         if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         if x.requires_grad:

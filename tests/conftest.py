@@ -1,6 +1,15 @@
 import os
 import sys
 
+import numpy as np
+
 # make the shared test helpers (fdcheck, taskstats) importable regardless
 # of how pytest is invoked
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+def pytest_report_header(config):
+    """The numpy and BLAS the byte tests ran on: a GEMM's bits depend on the
+    BLAS build, so a byte-test failure on another machine should name it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"

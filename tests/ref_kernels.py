@@ -3,6 +3,9 @@ reproduce byte for byte.
 
 conv2d and maxpool2d are the bincount-scatter kernels that conv2d's input
 gradient and maxpool2d used before their strided slice-add versions.
+conv2d's weight gradient stays np.tensordot, which copies the patches
+sample-major and runs an NN product: it is the oracle for tensor.conv2d's
+NT product over channel-major copies, which must give the same bytes.
 Plain numpy on raw arrays. Each returns (out, bwd), where bwd(g) gives the
 gradients the op's backward must reproduce: np.bincount sums the scattered
 weights in float64, in the order the flat indices are listed, starting from

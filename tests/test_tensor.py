@@ -166,11 +166,23 @@ def test_maxpool_gradcheck():
 
 VALUE_KINDS = ("normal", "integer", "signed_zeros")
 
-# the small convnet's layers at its training and scoring batches, plus one odd size:
-# conv (in channels, filters, H, W) with 3x3 kernels and padding 1; pool [C,H,W], 2x2
-NETWORK_BATCHES = (16, 64)
+# the small convnet's layers at its set-up, training and scoring batches, plus one odd
+# size: conv (in channels, filters, H, W) with 3x3 kernels and padding 1; pool [C,H,W], 2x2
+NETWORK_BATCHES = (4, 16, 64)
 NETWORK_CONVS = ((3, 16, 32, 32), (16, 16, 16, 16), (16, 32, 8, 8), (16, 16, 9, 7))
 NETWORK_POOL_INPUTS = ((16, 32, 32), (16, 16, 16), (32, 8, 8), (16, 9, 7))
+
+# conv2d's dw path at its edges, as ((N, C, H, W), (F, C, kh, kw), padding, takes NT): at
+# 16x16 outputs of 3x3 kernels F*C*kh*kw*N*Ho*Wo is 2304*F*C*N, so F*C*N = 434 lies just
+# below 100**3 and 435 just above; Ho*Wo = 255 misses the plane cut; F = 1 and C*kh*kw = 1
+# are vector extents
+DW_EDGE_CONVS = [
+    ((2, 7, 16, 16), (31, 7, 3, 3), 1, False),
+    ((3, 5, 16, 16), (29, 5, 3, 3), 1, True),
+    ((8, 16, 15, 17), (16, 16, 3, 3), 1, False),
+    ((64, 16, 16, 16), (1, 16, 3, 3), 1, False),
+    ((64, 1, 32, 32), (16, 1, 1, 1), 0, False),
+]
 
 
 def _values(rng, shape, dtype, kind):
@@ -223,6 +235,7 @@ def test_conv2d_matches_oracle_bytes(dtype, kind):
             if kh <= H + 2 * padding and kw <= W + 2 * padding]
     grid += [((n, C, H, W), (F, C, 3, 3), 1, 1)
              for n in NETWORK_BATCHES for C, F, H, W in NETWORK_CONVS]
+    grid += [(x_shape, w_shape, 1, padding) for x_shape, w_shape, padding, _ in DW_EDGE_CONVS]
     for x_shape, w_shape, stride, padding in grid:
         xd = _values(rng, x_shape, dtype, kind)
         wd = _values(rng, w_shape, dtype, kind)
@@ -242,6 +255,31 @@ def test_network_convs_take_the_whole_plane_geometry():
     for _, _, H, W in NETWORK_CONVS:
         in_plane, out_plane, taps = T._conv_taps(H, W, 3, 3, 1, 1, H, W)
         assert in_plane == out_plane == (H * W,) and len(taps) == 9
+
+
+def test_conv2d_dw_paths(monkeypatch):
+    """conv1 and conv2 compute dw as an NT GEMM at every batch the network
+    runs; conv3's 8x8 planes keep tensordot, and so does each edge shape
+    but the one just above 100**3. test_conv2d_matches_oracle_bytes pins
+    both paths' bytes to tensordot's at these shapes."""
+    taken = []
+    predicate = T._dw_takes_nt
+
+    def spy(*extents):
+        taken.append(predicate(*extents))
+        return taken[-1]
+
+    monkeypatch.setattr(T, "_dw_takes_nt", spy)
+    convs = [((n, C, H, W), (F, C, 3, 3), 1, nt) for n in NETWORK_BATCHES
+             for (C, F, H, W), nt in zip(NETWORK_CONVS, (True, True, False, False))]
+    convs += DW_EDGE_CONVS
+    for x_shape, w_shape, padding, _ in convs:
+        tape = T.Tape()
+        out = T.conv2d(T.Tensor(np.ones(x_shape, np.float32)),
+                       T.Tensor(np.ones(w_shape, np.float32), requires_grad=True),
+                       T.Tensor(np.zeros(w_shape[0], np.float32)), 1, padding, tape)
+        tape.nodes[-1].backward_fn(np.ones(out.shape, np.float32))
+    assert taken == [nt for *_, nt in convs]
 
 
 @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])
