@@ -27,6 +27,8 @@ LABEL_ANOMALOUS = 1
 # samples per tape-free forward pass, in scoring and in the frozen-prefix
 # cache: at 32x32 input, 16 keep conv1's patch buffer (1.8 MB) and pool1's
 # input (1.0 MB) each within a 2 MiB L2 cache; 64 made them 7.1 and 4.2 MB.
+# The frozen-prefix cache runs one chunk per usable CPU at once, each
+# thread's chunk within its own core's L2.
 # Activations are per sample; the dense head's rows match between chunks of
 # 16 and 64 because anomaly_scores never runs a last chunk of one row.
 INFER_BATCH = 16

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,6 +219,13 @@ def _stratified_val_split(n_normal, n_anomalous, val_fraction, seed):
     return picks
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def prefix_features(model, k, images, index):
     """Activations entering model.layers[k] for the raw images[index],
     tape-free, in index order; index must be non-empty.
@@ -226,15 +236,46 @@ def prefix_features(model, k, images, index):
     at once. Every layer of the family maps each sample on its own (conv is
     one matmul per sample of the stacked batch), so the activations are
     bit-identical to those of any other batching.
+
+    The first chunk runs on the calling thread and fixes the output's shape
+    and dtype. The rest are shared between the calling thread and one
+    helper thread per further usable CPU (none with one CPU or one chunk),
+    each writing its chunks' rows; the helpers are joined before return. If
+    chunks fail, the error of the earliest one is raised, as in index order.
     """
     hw, step = model.input_shape[1:], evaluate.INFER_BATCH
-    out = None
-    for start in range(0, len(index), step):
+
+    def run(start):
         x = data.preprocess_split(data.gather(images, index[start:start + step]), hw)
-        a = model.forward(T.Tensor(x), upto=k).data
-        if out is None:
-            out = np.empty((len(index),) + a.shape[1:], dtype=a.dtype)
-        out[start:start + len(a)] = a
+        return model.forward(T.Tensor(x), upto=k).data
+
+    first = run(0)
+    out = np.empty((len(index),) + first.shape[1:], dtype=first.dtype)
+    out[:len(first)] = first
+    starts, lock, failures = iter(range(step, len(index), step)), threading.Lock(), []
+
+    def work():
+        # a chunk taken after a failure was recorded lies past it, so skip it
+        while not failures:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            try:
+                out[start:start + step] = run(start)
+            except BaseException as e:  # an interrupt too: it stops the others, raised below
+                failures.append((start, e))
+
+    helpers = min(_usable_cpus(), math.ceil(len(index) / step)) - 1
+    if helpers > 0:
+        with ThreadPoolExecutor(helpers) as pool:
+            for _ in range(helpers):
+                pool.submit(work)
+            work()
+    else:
+        work()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return out
 
 

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 
+from xferad.transfer import _usable_cpus
+
 # make the shared test helpers (fdcheck, taskstats) importable regardless
 # of how pytest is invoked
 sys.path.insert(0, os.path.dirname(__file__))
@@ -10,6 +12,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 def pytest_report_header(config):
     """The numpy and BLAS the byte tests ran on: a GEMM's bits depend on the
-    BLAS build, so a byte-test failure on another machine should name it."""
+    BLAS build, so a byte-test failure on another machine should name it.
+    Also the usable CPUs, which set prefix_features' helper thread count."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+    return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
+            f"usable CPUs {_usable_cpus()}")

@@ -1,8 +1,12 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from xferad import data, evaluate, nn, synth, transfer
-from xferad.errors import CapacityError, ContractError
+from xferad.errors import CapacityError, ContractError, ShapeError
 from xferad import tensor as T
 from xferad.evaluate import ScoredSet, anomaly_scores, auc_trapezoid
 
@@ -460,6 +464,104 @@ def test_prefix_activations_independent_of_batching(k):
     assert np.array_equal(chunked, single)
 
 
+def serial_prefix_features(model, k, images, index):
+    """prefix_features as one loop over its chunks, in index order."""
+    step = evaluate.INFER_BATCH
+    return np.concatenate([
+        model.forward(T.Tensor(data.preprocess_split(data.gather(images, index[s:s + step]),
+                                                     model.input_shape[1:])), upto=k).data
+        for s in range(0, len(index), step)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_prefix_features_bytes_independent_of_the_helper_count(monkeypatch, cpus, dtype):
+    """Helper threads share the chunks but compute each one's bytes as the
+    serial loop does; no thread is started with one CPU or one chunk, and
+    none outlives the call."""
+    monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+    model = transfer.replace_head(nn.build_small_convnet((3, 16, 16), 8, seed=26, dtype=dtype),
+                                  2, seed=26)
+    counts = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda batch, **kw: counts.append(
+        threading.active_count()) or forward(batch, **kw))
+    rng = np.random.default_rng(27)
+    stacked = rng.random((70, 3, 16, 16), dtype=np.float32)
+    # runs of grayscale 20x20 and color 16x16 images, cut across chunks
+    ragged = [rng.random((1, 20, 20), dtype=np.float32) if i % 23 < 9 else stacked[i]
+              for i in range(70)]
+    before = threading.active_count()
+    for images in (stacked, ragged):
+        for n in (1, 16, 17, 70):
+            index = np.arange(n)[::-1]
+            helpers = min(cpus, -(-n // evaluate.INFER_BATCH)) - 1
+            for k in (0, 3, 6, 10):
+                counts.clear()
+                got = transfer.prefix_features(model, k, images, index)
+                assert threading.active_count() == before
+                assert max(counts) <= before + helpers
+                if helpers == 0:
+                    assert max(counts) == before
+                want = serial_prefix_features(model, k, images, index)
+                assert got.dtype == (np.float32 if k == 0 else dtype)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_prefix_features_under_fast_thread_switches(monkeypatch):
+    """More threads than cores, switching every microsecond, over 1-sample
+    chunks: each chunk runs once and every row gets its own bytes."""
+    monkeypatch.setattr(transfer, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(evaluate, "INFER_BATCH", 1)
+    model = small_source(seed=28)
+    x = np.random.default_rng(29).random((150, 3, 16, 16), dtype=np.float32)
+    want = serial_prefix_features(model, 6, x, np.arange(len(x)))
+    sizes = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward",
+                        lambda batch, **kw: sizes.append(len(batch.data)) or forward(batch, **kw))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = transfer.prefix_features(model, 6, x, np.arange(len(x)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [1] * len(x)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_prefix_features_raises_the_earliest_chunks_error(monkeypatch, cpus):
+    """Chunk 2 holds a [2,H,W] image and chunk 4 a [4,H,W] one. With
+    helpers, chunk 2 waits until chunk 4 has failed, yet chunk 2's error,
+    the serial loop's, is the one raised, after every helper is joined."""
+    monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+    step = evaluate.INFER_BATCH
+    images = [np.zeros((3, 16, 16), np.float32) for _ in range(6 * step)]
+    images[2 * step + 5] = np.zeros((2, 16, 16), np.float32)
+    images[4 * step + 5] = np.zeros((4, 16, 16), np.float32)
+    chunk4_failing = threading.Event()
+    preprocess = data.preprocess_split
+
+    def waiting_preprocess(chunk, hw):
+        channels = {len(image) for image in chunk}
+        if 4 in channels:
+            chunk4_failing.set()
+        elif 2 in channels and cpus > 1:
+            # give chunk 4's error the microseconds it needs to be recorded
+            chunk4_failing.wait(10)
+            time.sleep(0.1)
+        return preprocess(chunk, hw)
+
+    monkeypatch.setattr(data, "preprocess_split", waiting_preprocess)
+    before = threading.active_count()
+    with pytest.raises(ShapeError, match=r"got \(2, 16, 16\)"):
+        transfer.prefix_features(small_source(seed=25), 6, images, np.arange(len(images)))
+    assert threading.active_count() == before
+    assert chunk4_failing.is_set() == (cpus > 1)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scores_and_head_inputs_independent_of_the_inference_batch(monkeypatch, dtype):
     """evaluate.INFER_BATCH is the one chunk size of anomaly_scores and
@@ -489,7 +591,8 @@ def test_scores_and_head_inputs_independent_of_the_inference_batch(monkeypatch, 
             monkeypatch.setattr(evaluate, "INFER_BATCH", batch)
             sizes.clear()
             features[batch] = transfer.prefix_features(model, head, x, np.arange(n))
-            assert sizes == chunks(n, batch)
+            # helper threads take prefix_features' chunks in no fixed order
+            assert sorted(sizes) == sorted(chunks(n, batch))
             if batch > 1:
                 sizes.clear()
                 scores[batch] = anomaly_scores(model, x)
