@@ -241,7 +241,7 @@ def prefix_features(model, k, images, index):
     and dtype. The rest are shared between the calling thread and one
     helper thread per further usable CPU (none with one CPU or one chunk),
     each writing its chunks' rows; the helpers are joined before return. If
-    chunks fail, the error of the earliest one is raised, as in index order.
+    chunks fail, the earliest one's error is raised, as a serial loop would.
     """
     hw, step = model.input_shape[1:], evaluate.INFER_BATCH
 
