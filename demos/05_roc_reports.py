@@ -37,7 +37,7 @@ print(f"\nROC curve: {len(roc.fpr)} points from (0,0) to "
 report = ev.evaluate_scores(scored, threshold=0.5)
 c = report.confusion
 print(f"\nconfusion at 0.5: tp={c.tp} fn={c.fn} fp={c.fp} tn={c.tn}")
-for name, m in (("anomalous", report.metrics_anomalous), ("normal", report.metrics_normal)):
+for name, m in report.metrics.items():
     print(f"  {name}: precision {m.precision:.4f}  recall {m.recall:.4f}  f1 {m.f1:.4f}")
 
 tmp = tempfile.mkdtemp()

@@ -186,7 +186,7 @@ def _resolve_task(path, ds, digests):
     with open(path) as f:
         try:
             doc = json.load(f)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
             raise FormatError(f"task file {path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise FormatError(f"task file {path}: expected a JSON object")
@@ -366,7 +366,7 @@ def cmd_evaluate(args):
     print(f"actual anom    {c.tp:6d}  {c.fn:8d}  {c.tp + c.fn:6d}")
     print(f"actual normal  {c.fp:6d}  {c.tn:8d}  {c.fp + c.tn:6d}")
     print(f"total          {c.tp + c.fp:6d}  {c.fn + c.tn:8d}  {c.total:6d}")
-    for name, m in (("anomalous", report.metrics_anomalous), ("normal", report.metrics_normal)):
+    for name, m in report.metrics.items():
         fmt = lambda v: "undefined" if v is None else f"{v:.5f}"
         print(f"{name:<9} precision {fmt(m.precision)}  recall {fmt(m.recall)}  f1 {fmt(m.f1)}")
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,13 +90,14 @@ class ClassMetrics:
 
 @dataclass
 class EvalReport:
+    """One report.json: its keys are these fields, in this order."""
+
     auc: float
-    roc: RocCurve
-    confusion: ConfusionMatrix
-    metrics_anomalous: ClassMetrics
-    metrics_normal: ClassMetrics
     threshold: float
-    score_convention: str = SCORE_CONVENTION
+    score_convention: str
+    confusion: ConfusionMatrix
+    metrics: dict[str, ClassMetrics]  # "anomalous", then "normal"
+    roc: RocCurve
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +208,7 @@ def evaluate_scores(scored, threshold=0.5):
     """Full EvalReport for a ScoredSet at the given decision threshold."""
     roc = roc_curve(scored)
     conf = confusion_at(scored, threshold)
-    per_class = metrics(conf)
-    return EvalReport(
-        auc=roc.area(),
-        roc=roc,
-        confusion=conf,
-        metrics_anomalous=per_class["anomalous"],
-        metrics_normal=per_class["normal"],
-        threshold=float(threshold),
-    )
+    return EvalReport(roc.area(), float(threshold), SCORE_CONVENTION, conf, metrics(conf), roc)
 
 
 # ---------------------------------------------------------------------------
@@ -226,49 +219,21 @@ def evaluate_scores(scored, threshold=0.5):
 
 
 def report_to_dict(report):
-    def cm(c):
-        return {"precision": c.precision, "recall": c.recall, "f1": c.f1}
-
-    return {
-        "auc": report.auc,
-        "threshold": report.threshold,
-        "score_convention": report.score_convention,
-        "confusion": {
-            "tp": report.confusion.tp, "fn": report.confusion.fn,
-            "fp": report.confusion.fp, "tn": report.confusion.tn,
-        },
-        "metrics": {
-            "anomalous": cm(report.metrics_anomalous),
-            "normal": cm(report.metrics_normal),
-        },
-        "roc": {
-            "fpr": report.roc.fpr.tolist(),
-            "tpr": report.roc.tpr.tolist(),
-            "thresholds": [t if math.isfinite(t) else None for t in report.roc.thresholds],
-        },
-    }
+    d = asdict(report)
+    d["roc"] = {k: [x if math.isfinite(x) else None for x in v.tolist()]
+                for k, v in d["roc"].items()}
+    return d
 
 
 def report_from_dict(d):
-    def cm(dd):
-        return ClassMetrics(precision=dd["precision"], recall=dd["recall"], f1=dd["f1"])
-
-    return EvalReport(
-        auc=d["auc"],
-        threshold=d["threshold"],
-        score_convention=d["score_convention"],
-        confusion=ConfusionMatrix(**d["confusion"]),
-        metrics_anomalous=cm(d["metrics"]["anomalous"]),
-        metrics_normal=cm(d["metrics"]["normal"]),
-        roc=RocCurve(
-            fpr=np.asarray(d["roc"]["fpr"], dtype=np.float64),
-            tpr=np.asarray(d["roc"]["tpr"], dtype=np.float64),
-            thresholds=np.asarray(
-                [np.inf if t is None else t for t in d["roc"]["thresholds"]],
-                dtype=np.float64,
-            ),
-        ),
-    )
+    roc = {k: np.array([np.inf if x is None else x for x in v], dtype=np.float64)
+           for k, v in d["roc"].items()}
+    return EvalReport(**{
+        **d,
+        "confusion": ConfusionMatrix(**d["confusion"]),
+        "metrics": {k: ClassMetrics(**m) for k, m in d["metrics"].items()},
+        "roc": RocCurve(**roc),
+    })
 
 
 def emit_report(report, path, format="json"):

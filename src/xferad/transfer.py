@@ -15,7 +15,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -93,16 +93,11 @@ class TrainRecord:
     selected_epoch: int
 
     def to_csv(self, path):
+        """One column per EpochStats field; None is written empty."""
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["epoch", "train_loss", "val_auc", "lr"])
-            for e in self.epochs:
-                w.writerow([
-                    e.epoch,
-                    repr(e.train_loss),
-                    "" if e.val_auc is None else repr(e.val_auc),
-                    repr(e.lr),
-                ])
+            w.writerow([c.name for c in fields(EpochStats)])
+            w.writerows(["" if v is None else repr(v) for v in astuple(e)] for e in self.epochs)
 
 
 def _train_epochs(model, inputs, labels, config, val=None, k=0):
@@ -205,15 +200,16 @@ def apply_freeze(model, policy):
     return out
 
 
-def _stratified_val_split(n_normal, n_anomalous, val_fraction, seed):
-    """Held-out index sets per class; errors if either side would empty a class."""
+def _stratified_val_split(n_normal, n_anomalous, seed):
+    """Held-out VAL_FRACTION index sets per class; errors if either side
+    would empty a class."""
     rng = np.random.default_rng([seed, 2])
     picks = []
     for n in (n_normal, n_anomalous):
-        k = int(round(val_fraction * n))
+        k = int(round(VAL_FRACTION * n))
         if k < 1 or n - k < 1:
             raise CapacityError(
-                f"val fraction {val_fraction} leaves an empty split for a class of {n} samples"
+                f"val fraction {VAL_FRACTION} leaves an empty split for a class of {n} samples"
             )
         picks.append(np.sort(rng.permutation(n)[:k]))
     return picks
@@ -267,12 +263,9 @@ def prefix_features(model, k, images, index):
                 failures.append((start, e))
 
     helpers = min(_usable_cpus(), math.ceil(len(index) / step)) - 1
-    if helpers > 0:
-        with ThreadPoolExecutor(helpers) as pool:
-            for _ in range(helpers):
-                pool.submit(work)
-            work()
-    else:
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:  # a thread starts only on submit
+        for _ in range(helpers):
+            pool.submit(work)
         work()
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
@@ -332,7 +325,7 @@ def train_suffix(model, normal, anomalous, config):
     and returns the model of the selected epoch plus the TrainRecord.
     """
     k = check_target(model, config)
-    val_n, val_a = _stratified_val_split(len(normal), len(anomalous), VAL_FRACTION, config.seed)
+    val_n, val_a = _stratified_val_split(len(normal), len(anomalous), config.seed)
     train_n, train_a = np.delete(normal, val_n, axis=0), np.delete(anomalous, val_a, axis=0)
     y_train = np.repeat([0, 1], [len(train_n), len(train_a)])
     y_val = np.repeat([0, 1], [len(val_n), len(val_a)])

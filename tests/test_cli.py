@@ -618,6 +618,20 @@ def test_task_naming_a_fifo_input_exits_format_without_opening_it(corpus, task_f
     assert proc.returncode == EXIT_FORMAT, proc.stderr
 
 
+def test_deeply_nested_task_file_exits_format_without_a_traceback(corpus, tmp_path):
+    """JSON's decoder raises RecursionError on deep nesting; the reader
+    turns it into a FormatError like any other malformed task file."""
+    bad = tmp_path / "nested_task.json"
+    bad.write_text("[" * 200_000)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "xferad.cli", "validate-task",
+                           *dataset_flags(corpus), "--task", str(bad)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_FORMAT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "not valid JSON" in proc.stderr
+
+
 def test_evaluate_uses_and_records_the_weights_input_size(corpus, source_weights, task_file,
                                                           tmp_path):
     detector = str(tmp_path / "detector.xfaw")

@@ -253,8 +253,7 @@ def reports_equal(a, b):
         and a.score_convention == b.score_convention
         and (a.confusion.tp, a.confusion.fn, a.confusion.fp, a.confusion.tn)
         == (b.confusion.tp, b.confusion.fn, b.confusion.fp, b.confusion.tn)
-        and a.metrics_anomalous == b.metrics_anomalous
-        and a.metrics_normal == b.metrics_normal
+        and a.metrics == b.metrics
         and np.array_equal(a.roc.fpr, b.roc.fpr)
         and np.array_equal(a.roc.tpr, b.roc.tpr)
         and np.array_equal(a.roc.thresholds, b.roc.thresholds)
@@ -265,6 +264,67 @@ def test_report_json_roundtrip(tmp_path):
     report, _ = sample_report()
     path = tmp_path / "report.json"
     ev.emit_report(report, path, "json")
+    assert reports_equal(report, ev.load_report(path))
+
+
+# every key, its order and each number's text, as report.json holds them:
+# a three-way tie, undefined anomalous precision and F1 at a threshold above
+# every score, and the +inf start of the sweep written as null
+REPORT_JSON_TEXT = """{
+  "auc": 0.8888888888888888,
+  "threshold": 0.95,
+  "score_convention": "anomalous_neuron_probability",
+  "confusion": {
+    "tp": 0,
+    "fn": 3,
+    "fp": 0,
+    "tn": 3
+  },
+  "metrics": {
+    "anomalous": {
+      "precision": null,
+      "recall": 0.0,
+      "f1": null
+    },
+    "normal": {
+      "precision": 0.5,
+      "recall": 1.0,
+      "f1": 0.6666666666666666
+    }
+  },
+  "roc": {
+    "fpr": [
+      0.0,
+      0.0,
+      0.0,
+      0.6666666666666666,
+      1.0
+    ],
+    "tpr": [
+      0.0,
+      0.3333333333333333,
+      0.6666666666666666,
+      1.0,
+      1.0
+    ],
+    "thresholds": [
+      null,
+      0.9,
+      0.7,
+      0.5,
+      0.1
+    ]
+  }
+}
+"""
+
+
+def test_report_json_exact_text(tmp_path):
+    report = ev.evaluate_scores(scored([0.1, 0.5, 0.5, 0.5, 0.7, 0.9], [0, 0, 1, 0, 1, 1]),
+                                threshold=0.95)
+    path = tmp_path / "report.json"
+    ev.emit_report(report, path, "json")
+    assert path.read_bytes() == REPORT_JSON_TEXT.encode()
     assert reports_equal(report, ev.load_report(path))
 
 

@@ -391,6 +391,20 @@ def test_frozen_params_bit_identical_after_many_epochs():
         assert np.array_equal(p.data, before[name]), name
 
 
+def test_train_record_csv_exact_text(tmp_path):
+    """Header from EpochStats' fields, repr of each number, empty val_auc
+    for None, CRLF line ends."""
+    record = transfer.TrainRecord([
+        transfer.EpochStats(0, 0.6931471805599453, None, 0.001),
+        transfer.EpochStats(1, 0.25, 2 / 3, 0.000999999000001),
+    ], selected_epoch=1)
+    path = tmp_path / "record.csv"
+    record.to_csv(path)
+    assert path.read_bytes() == (b"epoch,train_loss,val_auc,lr\r\n"
+                                 b"0,0.6931471805599453,,0.001\r\n"
+                                 b"1,0.25,0.6666666666666666,0.000999999000001\r\n")
+
+
 # ---------------------------------------------------------------------------
 # frozen-prefix activation cache
 
@@ -401,9 +415,7 @@ def reference_train_target(model, task, config):
     The oracle the cached path must match bit for bit."""
     x_norm = np.asarray(task.train_normal, dtype=np.float32)
     x_anom = np.asarray(task.train_anomalous, dtype=np.float32)
-    val_n_idx, val_a_idx = transfer._stratified_val_split(
-        len(x_norm), len(x_anom), transfer.VAL_FRACTION, config.seed
-    )
+    val_n_idx, val_a_idx = transfer._stratified_val_split(len(x_norm), len(x_anom), config.seed)
     mask_n = np.zeros(len(x_norm), dtype=bool)
     mask_n[val_n_idx] = True
     mask_a = np.zeros(len(x_anom), dtype=bool)
