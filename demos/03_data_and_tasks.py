@@ -22,7 +22,7 @@ ds = data.load_idx(imgs, lbls)
 print(f"loaded {len(ds)} images of shape {ds.images.shape[1:]}, "
       f"classes {ds.class_names}")
 
-# IDX round-trips exactly: bytes -> [0,1] floats -> bytes
+# IDX round-trips exactly: the loaded uint8 pixels are written back as they are
 i2, l2 = os.path.join(tmp, "i2"), os.path.join(tmp, "l2")
 data.write_idx(ds.images, ds.labels, i2, l2)
 print("re-serialized IDX is byte-identical:",

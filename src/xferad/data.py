@@ -1,8 +1,10 @@
 """Dataset ingestion, preprocessing, and one-vs-rest anomaly task construction.
 
-Loaders are pure functions on files. Images are float32 [C,H,W] arrays
-with values in [0,1]; the project-wide label convention for anomaly
-tasks is normal = 0, anomalous = 1.
+Loaders are pure functions on files. They return the files' uint8 pixels
+as [C,H,W] images; preprocess_split scales uint8 images to [0,1] by /255
+(the one place that happens) and passes float images through as [0,1]
+values. The project-wide label convention for anomaly tasks is
+normal = 0, anomalous = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ class LabeledImageSet:
     """Images + integer class labels + class names.
 
     images may be a list of [C,H,W] arrays (possibly ragged across
-    samples) or one stacked [N,C,H,W] array.
+    samples) or one stacked [N,C,H,W] array: uint8 pixels as the loaders
+    give them, or float values in [0,1] (a synthetic set, or one already
+    through preprocess_split).
     """
 
     images: object
@@ -105,30 +109,34 @@ def _read_idx(path, magic, fields):
 def load_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into a LabeledImageSet.
 
-    Pixel bytes are scaled to [0,1] by /255; image count must agree
-    between the two files, and each file must be exactly the size its
-    header gives.
+    The images are a read-only uint8 [N,1,H,W] view of the image file's
+    pixel bytes; image count must agree between the two files, and each
+    file must be exactly the size its header gives.
     """
     (count, rows, cols), pixels = _read_idx(
         images_path, IDX_IMAGES_MAGIC, ("image count", "row count", "column count"))
     (lcount,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, ("label count",))
     if lcount != count:
         raise FormatError(f"{labels_path}: {lcount} labels but {images_path} has {count} images")
-    images = pixels.reshape(count, 1, rows, cols).astype(np.float32)
-    images /= 255.0
+    images = pixels.reshape(count, 1, rows, cols)
     n_classes = int(labels.max()) + 1 if count else 0
     return LabeledImageSet(images, labels, [str(c) for c in range(n_classes)])
 
 
 def write_idx(images, labels, images_path, labels_path):
-    """Serialize grayscale [N,1,H,W] images in [0,1] back to IDX files, quantized
-    in chunks of _CHUNK_PIXELS into one uint8 array that is written after the work."""
+    """Serialize grayscale [N,1,H,W] images back to IDX files. uint8 images
+    are written as they are; others are taken as [0,1] values and quantized
+    in chunks of _CHUNK_PIXELS into one uint8 array that is written after
+    the work."""
     images = np.asarray(images)
     n, _, rows, cols = images.shape
-    pix = np.empty(images.shape, dtype=np.uint8)
-    step = max(1, _CHUNK_PIXELS // (rows * cols))
-    for start in range(0, n, step):
-        pix[start:start + step] = np.rint(images[start:start + step] * 255.0).clip(0, 255)
+    if images.dtype == np.uint8:
+        pix = np.ascontiguousarray(images)
+    else:
+        pix = np.empty(images.shape, dtype=np.uint8)
+        step = max(1, _CHUNK_PIXELS // (rows * cols))
+        for start in range(0, n, step):
+            pix[start:start + step] = np.rint(images[start:start + step] * 255.0).clip(0, 255)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
         f.write(pix)
@@ -142,6 +150,7 @@ def write_idx(images, labels, images_path, labels_path):
 
 
 def _read_pnm(path):
+    """The file's pixels as a read-only uint8 [C,H,W] view of its bytes."""
     with open(path, "rb") as f:
         blob = f.read()
 
@@ -186,9 +195,7 @@ def _read_pnm(path):
         state = "truncated" if len(blob) < need else "overlong"
         raise FormatError(f"{path}: {state} at byte {len(blob)}, its header gives {need} bytes")
     arr = np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, channels)
-    image = arr.transpose(2, 0, 1).astype(np.float32)
-    image /= 255.0
-    return image
+    return arr.transpose(2, 0, 1)
 
 
 def load_image_dir(root_path, class_subdirs):
@@ -220,14 +227,15 @@ def load_image_dir(root_path, class_subdirs):
 def load_cifar10_batches(paths):
     """Read CIFAR-10 binary batch files into a LabeledImageSet.
 
-    One float32 array, sized from the files' byte counts, receives each
-    file's pixels /255 in turn: the peak is that array plus one file.
+    One uint8 [N,3,32,32] array, sized from the files' byte counts,
+    receives each file's pixels in turn: the peak is that array plus one
+    file.
     """
     sizes = [os.stat(path).st_size for path in paths]
     for path, size in zip(paths, sizes):
         if size % 3073 != 0:
             raise FormatError(f"{path}: size {size} is not a multiple of the 3073-byte record")
-    images = np.empty((sum(sizes) // 3073, 3, 32, 32), dtype=np.float32)
+    images = np.empty((sum(sizes) // 3073, 3, 32, 32), dtype=np.uint8)
     labels = np.empty(len(images), dtype=np.int64)
     start = 0
     for path, size in zip(paths, sizes):
@@ -238,7 +246,7 @@ def load_cifar10_batches(paths):
         rec = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 3073)
         stop = start + len(rec)
         labels[start:stop] = rec[:, 0]
-        np.divide(rec[:, 1:].reshape(-1, 3, 32, 32), np.float32(255), out=images[start:stop])
+        images[start:stop] = rec[:, 1:].reshape(-1, 3, 32, 32)
         start = stop
         del blob, rec  # free this file's bytes before the next file is read
     if labels.size and labels.max() > 9:
@@ -319,29 +327,39 @@ _CHUNK_PIXELS = 256 * 32 * 32
 
 def preprocess_split(images, target_hw):
     """Preprocess a sequence of [1|3,H,W] images into one stacked float32
-    [N,3,H,W] array: grayscale replicated to 3 channels, then bilinear
-    resized, values in [0,1].
+    [N,3,H,W] array: uint8 pixels divided by 255 in float32 (other dtypes
+    are taken as [0,1] values), grayscale replicated to 3 channels, then
+    bilinear resized, values in [0,1].
 
-    Runs of consecutive same-shape images are resized together, in chunks
-    of at most _CHUNK_PIXELS input or output pixels per channel, so a list
-    of mixed shapes works. A grayscale chunk is resized once and broadcast
-    to the 3 channels: each channel resizes on its own, so this gives the
-    same bytes as replicating before resizing.
+    Runs of consecutive images of one shape and dtype are resized together,
+    in chunks of at most _CHUNK_PIXELS input or output pixels per channel,
+    so a list of mixed shapes or dtypes works. A grayscale chunk is resized
+    once and broadcast to the 3 channels: each channel resizes on its own,
+    so this gives the same bytes as replicating before resizing.
     """
     out_h, out_w = int(target_hw[0]), int(target_hw[1])
     out = np.empty((len(images), 3, out_h, out_w), dtype=np.float32)
     start = 0
     while start < len(images):
-        shape = np.shape(images[start])
+        shape, dtype = kind = _shape_and_dtype(images[start])
         if len(shape) != 3 or shape[0] not in (1, 3):
             raise ShapeError(f"preprocess expects [1|3,H,W] image, got {shape}")
         limit = max(1, _CHUNK_PIXELS // max(shape[1] * shape[2], out_h * out_w))
         stop = start + 1
-        while stop < len(images) and stop - start < limit and np.shape(images[stop]) == shape:
+        while (stop < len(images) and stop - start < limit
+               and _shape_and_dtype(images[stop]) == kind):
             stop += 1
-        out[start:stop] = _bilinear_resize(np.asarray(images[start:stop]), out_h, out_w)
+        chunk = np.asarray(images[start:stop])
+        if dtype == np.uint8:
+            chunk = np.divide(chunk, np.float32(255), dtype=np.float32)
+        out[start:stop] = _bilinear_resize(chunk, out_h, out_w)
         start = stop
     return out
+
+
+def _shape_and_dtype(image):
+    image = np.asarray(image)
+    return image.shape, image.dtype
 
 
 def _bilinear_resize(image, out_h, out_w):

@@ -155,8 +155,13 @@ def pretrain_source(model, source_set, config):
         raise ContractError(
             f"model has {model.num_classes} outputs but labels go up to {int(labels.max())}"
         )
-    images = np.asarray(source_set.images, dtype=np.float32)
-    return _train_epochs(model.copy(), images, labels, config)
+    images = np.asarray(source_set.images)
+    if images.dtype.kind in "iu":
+        raise ContractError(
+            f"source images are {images.dtype} pixels; preprocess them with "
+            "data.preprocess_split first"
+        )
+    return _train_epochs(model.copy(), images.astype(np.float32, copy=False), labels, config)
 
 
 def replace_head(model, num_classes, seed):

@@ -1,4 +1,5 @@
 import os
+import platform
 import sys
 
 import numpy as np
@@ -13,7 +14,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 def pytest_report_header(config):
     """The numpy and BLAS the byte tests ran on: a GEMM's bits depend on the
     BLAS build, so a byte-test failure on another machine should name it.
-    Also the usable CPUs, which set prefix_features' helper thread count."""
+    Also the usable CPUs, which set prefix_features' helper thread count,
+    and the C library, whose allocator the fresh-process RSS tests measure."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    libc, libc_version = platform.libc_ver()
     return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
-            f"usable CPUs {_usable_cpus()}")
+            f"usable CPUs {_usable_cpus()}, libc {libc or 'unknown'} {libc_version}")

@@ -600,7 +600,7 @@ def test_task_run_on_a_dataset_with_changed_pixels_exits_format(corpus, source_w
     loaded, not against the files the task names."""
     ds = data.load_idx(corpus["images"], corpus["labels"])
     changed = {"images": str(tmp_path / "inverted-images"), "labels": str(tmp_path / "labels")}
-    data.write_idx(1.0 - ds.images, ds.labels, changed["images"], changed["labels"])
+    data.write_idx(255 - ds.images, ds.labels, changed["images"], changed["labels"])
     doc = json.load(open(task_file))
     assert_task_doc_exits(EXIT_FORMAT, doc, command, changed, source_weights, tmp_path)
 

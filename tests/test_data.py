@@ -33,10 +33,10 @@ def test_idx_header_and_scaling(tmp_path):
     p_img, p_lbl = write_idx_pair(tmp_path, imgs, np.array([1, 0], np.uint8))
     ds = data.load_idx(p_img, p_lbl)
     assert len(ds) == 2
-    assert ds.images.shape == (2, 1, 28, 28)
-    assert ds.images[0, 0, 0, 0] == 1.0
-    assert ds.images[0, 0, 1, 1] == 0.0
-    assert ds.images[1, 0, 3, 4] == np.float32(128 / 255)
+    assert ds.images.shape == (2, 1, 28, 28) and ds.images.dtype == np.uint8
+    assert ds.images[0, 0, 0, 0] == 255
+    assert ds.images[0, 0, 1, 1] == 0
+    assert ds.images[1, 0, 3, 4] == 128
     assert list(ds.labels) == [1, 0]
 
 
@@ -111,13 +111,14 @@ def test_idx_write_read_roundtrip(tmp_path):
     ds0 = data.LabeledImageSet(imgs.astype(np.float32) / 255.0,
                                rng.integers(0, 3, 5), ["0", "1", "2"])
     ip, lp = tmp_path / "i", tmp_path / "l"
-    data.write_idx(ds0.images, ds0.labels, ip, lp)
+    data.write_idx(ds0.images, ds0.labels, ip, lp)  # [0,1] floats are quantized
     ds1 = data.load_idx(ip, lp)
-    assert np.array_equal(ds0.images, ds1.images)
+    assert ds1.images.dtype == np.uint8 and np.array_equal(ds1.images, imgs)
     assert np.array_equal(ds0.labels, ds1.labels)
-    # and a second serialize->load cycle is exact too
+    # and a second serialize->load cycle writes the loaded bytes as they are
     ip2, lp2 = tmp_path / "i2", tmp_path / "l2"
     data.write_idx(ds1.images, ds1.labels, ip2, lp2)
+    assert ip2.read_bytes() == ip.read_bytes()
     ds2 = data.load_idx(ip2, lp2)
     assert np.array_equal(ds1.images, ds2.images)
 
@@ -144,20 +145,20 @@ def test_pgm_p5_minimal(tmp_path):
     p = tmp_path / "a.pgm"
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255]))
     img = data._read_pnm(p)
-    assert img.shape == (1, 2, 2)
-    assert img[0, 0, 0] == 0.0
-    assert img[0, 1, 1] == 1.0
-    assert img[0, 0, 1] == np.float32(64 / 255)
+    assert img.shape == (1, 2, 2) and img.dtype == np.uint8
+    assert img[0, 0, 0] == 0
+    assert img[0, 1, 1] == 255
+    assert img[0, 0, 1] == 64
 
 
 def test_ppm_p6_channels(tmp_path):
     p = tmp_path / "a.ppm"
     p.write_bytes(b"P6\n# a comment\n1 1\n255\n" + bytes([255, 0, 128]))
     img = data._read_pnm(p)
-    assert img.shape == (3, 1, 1)
-    assert img[0, 0, 0] == 1.0
-    assert img[1, 0, 0] == 0.0
-    assert img[2, 0, 0] == np.float32(128 / 255)
+    assert img.shape == (3, 1, 1) and img.dtype == np.uint8
+    assert img[0, 0, 0] == 255
+    assert img[1, 0, 0] == 0
+    assert img[2, 0, 0] == 128
 
 
 def test_pnm_bad_magic_names_file(tmp_path):
@@ -280,11 +281,11 @@ def test_cifar10_record_layout(tmp_path):
     p = tmp_path / "data_batch_1.bin"
     p.write_bytes(rec0 + rec1)
     ds = data.load_cifar10_batches([p])
-    assert ds.images.shape == (2, 3, 32, 32)
+    assert ds.images.shape == (2, 3, 32, 32) and ds.images.dtype == np.uint8
     assert list(ds.labels) == [3, 9]
-    assert ds.images[0, 0, 0, 0] == np.float32(10 / 255)
-    assert ds.images[0, 1, 0, 0] == np.float32(20 / 255)
-    assert ds.images[0, 2, 0, 0] == np.float32(30 / 255)
+    assert ds.images[0, 0, 0, 0] == 10
+    assert ds.images[0, 1, 0, 0] == 20
+    assert ds.images[0, 2, 0, 0] == 30
     assert ds.class_names[3] == "cat"
 
 
@@ -304,30 +305,52 @@ def write_cifar_batch(path, n, seed):
     return rec
 
 
-def assert_float32_scaling_of(images, raw):
-    """images holds the bytes of raw's float32 copy divided by 255."""
-    want = raw.astype(np.float32) / 255.0
-    assert images.dtype == np.float32 and images.shape == want.shape
-    assert images.tobytes() == want.tobytes()
-
-
-def test_loaders_give_the_bytes_of_a_float32_copy_divided_by_255(tmp_path):
+def loaded_sets(tmp_path):
+    """{loader: (its images, the uint8 [C,H,W] pixels its files hold, the
+    most common image size)} for an IDX pair, a directory of P5 and P6 files
+    (a ragged list: 300 P5 files of one size among P6 and other P5 sizes)
+    and two CIFAR-10 batches. 300 images of one size cross a 256-image
+    preprocessing chunk."""
     rng = np.random.default_rng(7)
-    raw = rng.integers(0, 256, size=(6, 9, 7), dtype=np.uint8)
-    ds = data.load_idx(*write_idx_pair(tmp_path, raw, np.zeros(6, np.uint8)))
-    assert_float32_scaling_of(ds.images, raw[:, None])
+    raw = rng.integers(0, 256, size=(600, 28, 28), dtype=np.uint8)
+    ds = data.load_idx(*write_idx_pair(tmp_path, raw, np.zeros(600, np.uint8)))
+    sets = {"idx": (ds.images, raw[:, None], (28, 28))}
 
-    for magic, channels in ((b"P5", 1), (b"P6", 3)):
-        hwc = rng.integers(0, 256, size=(5, 4, channels), dtype=np.uint8)
-        p = tmp_path / f"image.{magic.decode()}"
-        p.write_bytes(magic + b"\n4 5\n255\n" + hwc.tobytes())
-        assert_float32_scaling_of(data._read_pnm(p), hwc.transpose(2, 0, 1))
+    pnm, d = [], tmp_path / "pnm"
+    d.mkdir()
+    files = [(b"P6", 9, 7)] + [(b"P5", 8, 6)] * 300 + [(b"P5", 5, 11), (b"P6", 8, 6)]
+    for i, (magic, w, h) in enumerate(files):
+        hwc = rng.integers(0, 256, size=(h, w, 3 if magic == b"P6" else 1), dtype=np.uint8)
+        (d / f"{i:04d}.pnm").write_bytes(magic + b"\n%d %d\n255\n" % (w, h) + hwc.tobytes())
+        pnm.append(hwc.transpose(2, 0, 1))
+    sets["pnm"] = ([data._read_pnm(d / f"{i:04d}.pnm") for i in range(len(pnm))], pnm, (6, 8))
 
     paths = [tmp_path / "data_batch_1.bin", tmp_path / "data_batch_2.bin"]
-    recs = [write_cifar_batch(p, n, seed) for p, n, seed in zip(paths, (7, 5), (8, 9))]
+    recs = [write_cifar_batch(p, n, seed) for p, n, seed in zip(paths, (170, 130), (8, 9))]
     ds = data.load_cifar10_batches(paths)
-    assert_float32_scaling_of(ds.images, np.concatenate(recs)[:, 1:].reshape(-1, 3, 32, 32))
     assert np.array_equal(ds.labels, np.concatenate(recs)[:, 0])
+    sets["cifar10"] = (ds.images, np.concatenate(recs)[:, 1:].reshape(-1, 3, 32, 32), (32, 32))
+    return sets
+
+
+def test_loaders_give_the_files_uint8_bytes(tmp_path):
+    for name, (images, raw, _) in loaded_sets(tmp_path).items():
+        assert len(images) == len(raw), name
+        for got, want in zip(images, raw):
+            assert got.dtype == np.uint8 and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_preprocess_of_loaded_bytes_equals_it_of_their_float32_copy_divided_by_255(tmp_path):
+    """The loaders used to divide a float32 copy of the bytes by 255;
+    preprocess_split now does, so its output keeps every byte. Checked at
+    the input size (a cast, no resize) and at two resizes."""
+    for name, (images, raw, size) in loaded_sets(tmp_path).items():
+        floats = [img.astype(np.float32) / 255.0 for img in raw]
+        for hw in (size, (32, 32), (19, 27)):
+            got = data.preprocess_split(images, hw)
+            want = data.preprocess_split(floats, hw)
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes(), (name, hw)
 
 
 def test_cifar10_bad_size_fails_before_allocating(tmp_path, monkeypatch):
@@ -357,14 +380,27 @@ def test_cifar10_file_that_grows_while_loading(tmp_path, monkeypatch):
 
 def test_cifar10_load_peaks_at_the_array_plus_one_file(tmp_path):
     """Two 10,000-record files (61 MB) raise a fresh process's peak RSS by
-    at most the 246 MB float32 array, one file and a few MB of slack."""
+    at most the 61 MB uint8 array, one file and 4 MiB of slack."""
     paths = [tmp_path / f"data_batch_{i}.bin" for i in (1, 2)]
     for seed, p in enumerate(paths):
         write_cifar_batch(p, 10_000, seed)
-    array_bytes, file_bytes = 20_000 * 3072 * 4, 10_000 * 3073
+    array_bytes, file_bytes = 20_000 * 3072, 10_000 * 3073
     growth = peak_rss_growth(f"from xferad import data\npaths = {[str(p) for p in paths]!r}",
                              "ds = data.load_cifar10_batches(paths)")
     assert array_bytes <= growth <= array_bytes + file_bytes + 4 * 2**20
+
+
+def test_idx_load_peaks_at_the_two_files(tmp_path):
+    """A 20,000-image 28x28 IDX pair (15.7 MB) raises a fresh process's
+    peak RSS by at most both files' bytes and 4 MiB of slack: the images
+    are a view of the image file's bytes."""
+    rng = np.random.default_rng(11)
+    p_img, p_lbl = write_idx_pair(tmp_path, rng.integers(0, 256, (20_000, 28, 28), np.uint8),
+                                  rng.integers(0, 10, 20_000, np.uint8))
+    image_bytes = p_img.stat().st_size
+    growth = peak_rss_growth(f"from xferad import data\npaths = {[str(p_img), str(p_lbl)]!r}",
+                             "ds = data.load_idx(*paths)")
+    assert image_bytes <= growth <= image_bytes + p_lbl.stat().st_size + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +610,18 @@ def test_preprocess_split_of_a_ragged_list():
     assert_preprocess_matches_oracle(images, (16, 16))
     assert np.array_equal(data.preprocess_split([images[3]], (16, 16))[0],
                           data.preprocess_split(images, (16, 16))[3])
+
+
+def test_preprocess_split_ends_a_run_where_the_dtype_changes():
+    """One stacked run of uint8 and float images of one shape would upcast
+    the bytes without dividing them by 255."""
+    pixels = np.random.default_rng(12).integers(0, 256, (5, 1, 9, 11), dtype=np.uint8)
+    images = [pixels[0], pixels[1], pixels[2].astype(np.float32) / 255.0, pixels[3],
+              pixels[4] / 255.0]
+    for hw in ((9, 11), (16, 16)):
+        got = data.preprocess_split(images, hw)
+        want = np.concatenate([data.preprocess_split([img], hw) for img in images])
+        assert got.tobytes() == want.tobytes(), hw
 
 
 def test_preprocess_split_rejects_a_bad_image_in_a_list():

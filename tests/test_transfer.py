@@ -345,6 +345,21 @@ def test_pretrain_class_count_mismatch():
         transfer.pretrain_source(small_source(classes=8), ds, transfer.TransferConfig(epochs=1))
 
 
+def test_pretrain_refuses_loaded_pixels_that_were_not_preprocessed(tmp_path):
+    """A CIFAR-10 set straight from its loader holds 0-255 bytes, not [0,1]
+    values; training on them would run without an error."""
+    rec = np.random.default_rng(0).integers(0, 256, size=(20, 3073), dtype=np.uint8)
+    rec[:, 0] %= 2
+    path = tmp_path / "data_batch_1.bin"
+    path.write_bytes(rec.tobytes())
+    ds = data.load_cifar10_batches([path])
+    with pytest.raises(ContractError, match="uint8 pixels; preprocess .* data.preprocess_split"):
+        transfer.pretrain_source(small_source(hw=32), ds, transfer.TransferConfig(epochs=1))
+    x = data.preprocess_split(ds.images, (32, 32))
+    preprocessed = data.LabeledImageSet(x, ds.labels, ds.class_names)
+    transfer.pretrain_source(small_source(hw=32), preprocessed, transfer.TransferConfig(epochs=0))
+
+
 def test_pretrain_reaches_decent_source_accuracy():
     ds = source_digits(per_class=60)
     config = transfer.TransferConfig(lr0=transfer.PRETRAIN_LR, epochs=12, seed=1)
