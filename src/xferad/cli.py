@@ -143,14 +143,13 @@ def cmd_pretrain(args):
     ds, digests = _load_dataset(args)
     class_list = args.classes
     images, labels = _select_source_classes(ds, class_list, args.per_class, args.seed)
-    x = data.preprocess_split(images, args.size)
 
     model = nn.build_small_convnet((3, args.size[0], args.size[1]), len(class_list), args.seed)
     config = transfer.TransferConfig(
         lr0=args.lr, epochs=args.epochs, seed=args.seed, batch_size=args.batch_size,
     )
     trained, record = transfer.pretrain_source(
-        model, data.LabeledImageSet(x, labels, [str(c) for c in class_list]), config
+        model, data.LabeledImageSet(images, labels, [str(c) for c in class_list]), config
     )
     nn.save_weights(trained, args.out)
     record_path = args.out + ".record.csv"

@@ -100,9 +100,10 @@ class TrainRecord:
             w.writerows(["" if v is None else repr(v) for v in astuple(e)] for e in self.epochs)
 
 
-def _train_epochs(model, inputs, labels, config, val=None, k=0):
+def _train_epochs(model, rows, labels, config, val=None, k=0):
     """Shared loop: per epoch, shuffled minibatch SGD on model.suffix(k),
-    whose inputs are the activations entering layer k (k == 0: model).
+    whose input for a batch of sample indices ix is rows(ix): the
+    activations entering layer k (k == 0: model).
 
     The optimizer steps model, so velocities and errors stay keyed by its
     parameter names. With val = (inputs, labels) each epoch records its
@@ -115,14 +116,14 @@ def _train_epochs(model, inputs, labels, config, val=None, k=0):
     state = config.make_sgd()
     pick_best = val is not None and config.model_selection == SELECT_BEST_VAL_AUC
     selected, best, best_auc = max(config.epochs - 1, 0), model, -1.0
-    record = []
+    record, order = [], np.arange(len(labels))
     for epoch in range(config.epochs):
         total, seen = 0.0, 0
         lr_at_start = state.effective_lr()
-        batches = data.batch_iter(inputs, labels, config.batch_size, True, config.seed, epoch)
-        for step, (xb, yb) in enumerate(batches):
+        batches = data.batch_iter(order, labels, config.batch_size, True, config.seed, epoch)
+        for step, (ix, yb) in enumerate(batches):
             tape = T.Tape()
-            logits = net.forward(T.Tensor(xb), tape)
+            logits = net.forward(T.Tensor(rows(ix)), tape)
             loss = T.softmax_cross_entropy(logits, yb, tape)
             value = float(loss.data)
             if not math.isfinite(value):
@@ -145,8 +146,11 @@ def _train_epochs(model, inputs, labels, config, val=None, k=0):
 def pretrain_source(model, source_set, config):
     """Train the source network on its multi-class task.
 
-    Returns (trained copy, TrainRecord); the record's val_auc column is
-    empty (source training keeps the last epoch, no model selection).
+    source_set holds raw images (a loader's uint8 pixels, say); each batch
+    is preprocessed to the model's input size as it is drawn, so one batch
+    is held preprocessed, never the set. Returns (trained copy,
+    TrainRecord); the record's val_auc column is empty (source training
+    keeps the last epoch, no model selection).
     """
     labels = np.asarray(source_set.labels)
     if len(np.unique(labels)) < 2:
@@ -155,13 +159,10 @@ def pretrain_source(model, source_set, config):
         raise ContractError(
             f"model has {model.num_classes} outputs but labels go up to {int(labels.max())}"
         )
-    images = np.asarray(source_set.images)
-    if images.dtype.kind in "iu":
-        raise ContractError(
-            f"source images are {images.dtype} pixels; preprocess them with "
-            "data.preprocess_split first"
-        )
-    return _train_epochs(model.copy(), images.astype(np.float32, copy=False), labels, config)
+    images, hw = source_set.images, model.input_shape[1:]
+    return _train_epochs(
+        model.copy(), lambda ix: data.preprocess_split(data.gather(images, ix), hw), labels, config
+    )
 
 
 def replace_head(model, num_classes, seed):
@@ -335,4 +336,5 @@ def train_suffix(model, normal, anomalous, config):
     y_train = np.repeat([0, 1], [len(train_n), len(train_a)])
     y_val = np.repeat([0, 1], [len(val_n), len(val_a)])
     val = (np.concatenate([normal[val_n], anomalous[val_a]]), y_val)
-    return _train_epochs(model.copy(), np.concatenate([train_n, train_a]), y_train, config, val, k)
+    train = np.concatenate([train_n, train_a])
+    return _train_epochs(model.copy(), lambda ix: train[ix], y_train, config, val, k)

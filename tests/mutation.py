@@ -1,4 +1,5 @@
-"""Seeded single-byte mutations of a file's structure bytes.
+"""Seeded single-byte mutations of a file's structure bytes, and a check
+that a loader refuses each of a set of malformed files.
 
 A mutation sets one byte to one of its 255 other values. A test draws a
 fixed sample of all (offset, value) pairs over the bytes that give a
@@ -11,6 +12,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from xferad.errors import FormatError
 
 
 def weight_structure_offsets(blob):
@@ -43,3 +46,20 @@ def sample_mutations(blob, offsets, count, seed):
         o, v = pairs[i]
         out.append((o, v, blob[:o] + bytes([v]) + blob[o + 1:]))
     return out
+
+
+def not_refused(path, blobs, load):
+    """[(key, outcome)] for each (key, blob) of blobs that load(path) does
+    not refuse with FormatError once path holds blob: "loaded", or the
+    repr of any other exception."""
+    wrong = []
+    for key, blob in blobs:
+        path.write_bytes(blob)
+        try:
+            load(path)
+            wrong.append((key, "loaded"))
+        except FormatError:
+            pass
+        except Exception as e:  # noqa: BLE001 - any other outcome is the fault
+            wrong.append((key, repr(e)))
+    return wrong

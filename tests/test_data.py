@@ -8,7 +8,7 @@ from xferad import data, evaluate
 from xferad.errors import CapacityError, FormatError, ShapeError
 
 import ref_kernels
-from mutation import sample_mutations
+from mutation import not_refused, sample_mutations
 from rsscheck import peak_rss_growth
 from taskstats import hypergeom_mean_sigma
 
@@ -78,15 +78,9 @@ def test_idx_header_mutations_are_format_error(tmp_path):
     wrong = []
     for path, head, count in ((p_img, 16, 1000), (p_lbl, 8, 500)):
         blob = path.read_bytes()
-        for off, value, bad in sample_mutations(blob, range(head), count, seed=head):
-            path.write_bytes(bad)
-            try:
-                data.load_idx(p_img, p_lbl)
-                wrong.append((path.name, off, value, "loaded"))
-            except FormatError:
-                pass
-            except Exception as e:  # noqa: BLE001 - any other outcome is the fault
-                wrong.append((path.name, off, value, repr(e)))
+        mutants = [((path.name, off, value), bad)
+                   for off, value, bad in sample_mutations(blob, range(head), count, seed=head)]
+        wrong += not_refused(path, mutants, lambda _: data.load_idx(p_img, p_lbl))
         path.write_bytes(blob)
     assert not wrong
 
@@ -351,6 +345,46 @@ def test_preprocess_of_loaded_bytes_equals_it_of_their_float32_copy_divided_by_2
             got = data.preprocess_split(images, hw)
             want = data.preprocess_split(floats, hw)
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes(), (name, hw)
+
+
+def prefixes(blob):
+    return [(cut, blob[:cut]) for cut in range(len(blob))]
+
+
+def test_every_prefix_of_an_idx_or_pnm_file_is_format_error(tmp_path):
+    """Each IDX file of a pair, a P5 and a P6 file, cut at any byte, raises
+    FormatError: a cut file never loads."""
+    rng = np.random.default_rng(12)
+    p_img, p_lbl = write_idx_pair(tmp_path, rng.integers(0, 256, (3, 4, 5), np.uint8),
+                                  np.array([0, 2, 1], np.uint8))
+    img, lbl = p_img.read_bytes(), p_lbl.read_bytes()
+    cut = tmp_path / "cut"
+    assert not not_refused(cut, prefixes(img), lambda p: data.load_idx(p, p_lbl))
+    assert not not_refused(cut, prefixes(lbl), lambda p: data.load_idx(p_img, p))
+    for magic, channels in ((b"P5", 1), (b"P6", 3)):
+        raster = rng.integers(0, 256, 3 * 2 * channels, np.uint8).tobytes()
+        blob = magic + b"\n# a comment\n3 2\n255\n" + raster
+        cut.write_bytes(blob)
+        assert data._read_pnm(cut).shape == (channels, 2, 3)
+        assert not not_refused(cut, prefixes(blob), data._read_pnm), magic
+
+
+def test_cifar10_file_cut_off_a_record_boundary_is_format_error(tmp_path):
+    """A batch file cut at any byte raises FormatError unless the cut falls on
+    a 3,073-byte record boundary; there it loads the whole records before the
+    cut (none at byte 0)."""
+    path = tmp_path / "data_batch_1.bin"
+    rec = write_cifar_batch(path, 4, seed=13)
+    blob = path.read_bytes()
+    boundaries = range(0, len(blob) + 1, 3073)
+    off_boundary = [(cut, b) for cut, b in prefixes(blob) if cut not in boundaries]
+    assert not not_refused(path, off_boundary, lambda p: data.load_cifar10_batches([p]))
+    for cut in boundaries:
+        path.write_bytes(blob[:cut])
+        ds = data.load_cifar10_batches([path])
+        n = cut // 3073
+        assert ds.images.shape == (n, 3, 32, 32) and list(ds.labels) == list(rec[:n, 0])
+        assert ds.images.tobytes() == rec[:n, 1:].tobytes()
 
 
 def test_cifar10_bad_size_fails_before_allocating(tmp_path, monkeypatch):

@@ -10,6 +10,8 @@ from xferad.errors import CapacityError, ContractError, ShapeError
 from xferad import tensor as T
 from xferad.evaluate import ScoredSet, anomaly_scores, auc_trapezoid
 
+from rsscheck import peak_rss_growth
+
 
 def feature_activations(model, x):
     """Output of everything before the dense head (the activation tap)."""
@@ -345,19 +347,55 @@ def test_pretrain_class_count_mismatch():
         transfer.pretrain_source(small_source(classes=8), ds, transfer.TransferConfig(epochs=1))
 
 
-def test_pretrain_refuses_loaded_pixels_that_were_not_preprocessed(tmp_path):
-    """A CIFAR-10 set straight from its loader holds 0-255 bytes, not [0,1]
-    values; training on them would run without an error."""
-    rec = np.random.default_rng(0).integers(0, 256, size=(20, 3073), dtype=np.uint8)
-    rec[:, 0] %= 2
-    path = tmp_path / "data_batch_1.bin"
-    path.write_bytes(rec.tobytes())
-    ds = data.load_cifar10_batches([path])
-    with pytest.raises(ContractError, match="uint8 pixels; preprocess .* data.preprocess_split"):
-        transfer.pretrain_source(small_source(hw=32), ds, transfer.TransferConfig(epochs=1))
-    x = data.preprocess_split(ds.images, (32, 32))
-    preprocessed = data.LabeledImageSet(x, ds.labels, ds.class_names)
-    transfer.pretrain_source(small_source(hw=32), preprocessed, transfer.TransferConfig(epochs=0))
+def raw_source_set(kind, tmp_path):
+    """(a raw 10-class LabeledImageSet, the input size of the model it
+    trains) for each kind of set pretrain_source must take as it is."""
+    rng = np.random.default_rng(6)
+    if kind == "idx-28-to-32":  # a loader's uint8 digits, resized to the model
+        paths = tmp_path / "digits-images", tmp_path / "digits-labels"
+        synth.write_digit_idx(*paths, per_class=3, seed=5)
+        return data.load_idx(*paths), 32
+    if kind == "cifar10-at-32":  # a loader's uint8 pixels, already the model's size
+        rec = rng.integers(0, 256, size=(30, 3073), dtype=np.uint8)
+        rec[:, 0] %= 10
+        path = tmp_path / "data_batch_1.bin"
+        path.write_bytes(rec.tobytes())
+        return data.load_cifar10_batches([path]), 32
+    images = rng.random((30, 3, 16, 16))  # float64 values in [0,1]
+    return data.LabeledImageSet(images, np.arange(30) % 10, [str(c) for c in range(10)]), 16
+
+
+@pytest.mark.parametrize("kind", ["idx-28-to-32", "cifar10-at-32", "float64"])
+def test_pretrain_on_raw_images_equals_pretrain_on_the_preprocessed_set(kind, tmp_path):
+    """pretrain_source preprocesses each batch to the model's input size, so
+    a raw set trains the bytes that preprocessing the whole set first does."""
+    raw, hw = raw_source_set(kind, tmp_path)
+    pre = data.LabeledImageSet(data.preprocess_split(raw.images, (hw, hw)), raw.labels,
+                               raw.class_names)
+    config = transfer.TransferConfig(lr0=1e-2, epochs=2, batch_size=7, seed=8)
+    m_raw, r_raw = transfer.pretrain_source(small_source(seed=3, classes=10, hw=hw), raw, config)
+    m_pre, r_pre = transfer.pretrain_source(small_source(seed=3, classes=10, hw=hw), pre, config)
+    assert r_raw == r_pre and len(r_raw.epochs) == 2
+    for (name, a), (_, b) in zip(m_raw.named_parameters(), m_pre.named_parameters()):
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_pretrain_peaks_at_one_batch_not_the_preprocessed_set():
+    """Pretraining 4,000 uint8 28x28 digits into a 32x32 model raises a fresh
+    process's peak RSS by less than half of the 47 MiB that the set
+    preprocessed to float32 would take: only one batch is preprocessed at a
+    time. The set-up holds only the uint8 array and the model."""
+    n = 4_000
+    preprocessed_bytes = n * 3 * 32 * 32 * 4
+    growth = peak_rss_growth(
+        "import numpy as np\nfrom xferad import data, nn, transfer\n"
+        f"images = np.random.default_rng(0).integers(0, 256, ({n}, 1, 28, 28), dtype=np.uint8)\n"
+        f"source = data.LabeledImageSet(images, np.arange({n}) % 8, list('01234567'))\n"
+        "model = nn.build_small_convnet((3, 32, 32), 8, seed=0)\n"
+        "config = transfer.TransferConfig(lr0=1e-2, epochs=1, seed=0)",
+        "transfer.pretrain_source(model, source, config)",
+    )
+    assert growth < preprocessed_bytes // 2
 
 
 def test_pretrain_reaches_decent_source_accuracy():
