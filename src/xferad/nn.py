@@ -2,10 +2,11 @@
 the binary weight-file format.
 
 The architecture family this toolkit trains is: N blocks of
-[3x3 conv, relu, 2x2 maxpool], then global average pooling and a single
-dense layer producing the class logits. Weight files store named
-parameter tensors plus a reserved metadata record so the model can be
-rebuilt from the file alone.
+[3x3 conv, 2x2 maxpool, relu] (the same function as [conv, relu,
+maxpool]), then global average pooling and a single dense layer
+producing the class logits. Weight files store named parameter tensors
+plus a reserved metadata record so the model can be rebuilt from the
+file alone.
 """
 
 from __future__ import annotations
@@ -146,7 +147,9 @@ class ModelGraph:
         """Run the network on a [N, *input_shape] tensor.
 
         upto limits execution to the first `upto` layers (activation tap
-        for feature-extractor comparisons); None runs the full graph.
+        for feature-extractor comparisons); None runs the full graph. In
+        build_small_convnet's graph upto 2, 5 and 8 return a block's pool
+        output before its relu.
         """
         if tuple(batch.shape[1:]) != self.input_shape:
             raise ShapeError(
@@ -212,17 +215,21 @@ class ModelGraph:
 def build_small_convnet(input_shape, num_classes, seed, *, dtype=np.float32):
     """Three conv blocks (16/16/32 filters), GAP, dense head.
 
-    Deterministic for a given seed; He-normal weights, zero biases.
-    Needs at least 16x16 spatial input for the three pooling stages.
+    Each block is [conv, maxpool, relu], byte for byte [conv, relu,
+    maxpool] (relu and max commute, and no conv output is -0.0), so the
+    pool's windows almost never have a zero max, where after a relu about
+    half do, and the relu sees a quarter of the elements. Deterministic
+    for a given seed; He-normal weights, zero biases. Needs at least
+    16x16 spatial input for the three pooling stages.
     """
     C, H, W = (int(s) for s in input_shape)
     if H < 16 or W < 16:
         raise ShapeError(f"input {H}x{W} too small for three pooling stages (need >=16)")
     rng = np.random.default_rng(seed)
     layers = [
-        Conv2d(C, 16, rng=rng, dtype=dtype), Relu(), MaxPool2d(),
-        Conv2d(16, 16, rng=rng, dtype=dtype), Relu(), MaxPool2d(),
-        Conv2d(16, 32, rng=rng, dtype=dtype), Relu(), MaxPool2d(),
+        Conv2d(C, 16, rng=rng, dtype=dtype), MaxPool2d(), Relu(),
+        Conv2d(16, 16, rng=rng, dtype=dtype), MaxPool2d(), Relu(),
+        Conv2d(16, 32, rng=rng, dtype=dtype), MaxPool2d(), Relu(),
         GlobalAvgPool(),
         Dense(32, num_classes, rng=rng, dtype=dtype),
     ]
@@ -384,7 +391,7 @@ def load_weights(path):
     layers = []
     for w, b in zip(convs[::2], convs[1::2]):
         layers += [Conv2d.from_arrays(w.astype(np.float32), b.astype(np.float32)),
-                   Relu(), MaxPool2d()]
+                   MaxPool2d(), Relu()]
     layers += [GlobalAvgPool(), Dense.from_arrays(dw.astype(np.float32), db.astype(np.float32))]
     try:
         return ModelGraph(layers, (convs[0].shape[1], int(hw[0]), int(hw[1])), dw.shape[1])

@@ -392,22 +392,23 @@ def maxpool2d(x, window, stride, tape=None):
     """Per-window max over [N,C,H,W]; ties route gradient to the first
     (row-major) maximal element of the window.
 
-    The forward is a comparison cascade over the window's taps in
-    row-major order, each copied out of x into a contiguous array first:
-    a tap replaces the running max only where it is strictly greater, so
-    the first maximal element wins, signed zeros included. NaN inputs are
-    outside this contract. The cascade keeps each tap's v > max mask, and
-    the backward reads the first-max hits from them: the last tap that
-    raised the running max is the window's first maximal one. Disjoint
-    windows (stride >= window) assign each tap's hit gradients of g + 0
-    into a zero array, so a -0.0 gradient lands as +0.0. Overlapping
-    windows (stride < window) add the hit gradients into a float64 zero
-    array in row-major window order, then cast once to the gradient's
-    dtype.
+    The forward is np.maximum over strided views of the window's rows,
+    then of its columns. np.maximum breaks a -0.0/+0.0 tie by operand
+    order, one way in its SIMD loop and the other in its scalar loop, so
+    when x holds a -0.0 each window whose max is zero then takes the bits
+    of its first zero tap in row-major order (without one, that max is
+    +0.0 already): the output is the first maximal element's bits for
+    every non-NaN input (NaN is outside this contract).
 
-    Both passes select values through their bit patterns (the bits
-    multiplied by a 0/1 mask) instead of np.where, whose per-element
-    branch mispredicts on pooling data and costs several times as much.
+    The backward's hits are the first tap, in row-major order, equal to
+    the output. Disjoint windows (stride >= window) assign each tap's hit
+    gradients of g + 0 into a zero array, so a -0.0 gradient lands as
+    +0.0. Overlapping windows (stride < window) add the hit gradients
+    into a float64 zero array in row-major window order, then cast once
+    to the gradient's dtype. Both select values through their bit
+    patterns (the bits multiplied by a 0/1 mask) instead of np.where,
+    whose per-element branch mispredicts on pooling data and costs
+    several times as much.
     """
     window = int(window)
     stride = int(stride)
@@ -421,25 +422,32 @@ def maxpool2d(x, window, stride, tape=None):
 
     Ho, Wo = (H - window) // stride + 1, (W - window) // stride + 1
     tap_ix = [inp for _, _, inp in _clipped_taps(H, W, window, window, stride, 0, Ho, Wo)]
-    out = x.data[tap_ix[0]].copy()
-    bits = _bits(out)
-    gains = []
-    for inp in tap_ix[1:]:
-        v = x.data[inp].copy()
-        gain = v > out
-        # out = np.where(gain, v, out), in place, with v's copy as the temporary
-        vbits = np.bitwise_xor(_bits(v), bits, out=_bits(v))
-        bits ^= np.multiply(vbits, gain, out=vbits)
-        gains.append(gain)
+    rows = [inp[1] for inp in tap_ix[::window]]
+    cols = [inp[2] for inp in tap_ix[:window]]
+    xd = x.data
+    m = np.maximum(xd[..., rows[0], :], xd[..., rows[-1], :])
+    for r in rows[1:-1]:
+        np.maximum(m, xd[..., r, :], out=m)
+    out = np.maximum(m[..., cols[0]], m[..., cols[-1]])
+    for c in cols[1:-1]:
+        np.maximum(out, m[..., c], out=out)
+    zero = out == 0
+    if zero.any() and (_bits(xd) == 1 << 8 * xd.itemsize - 1).any():
+        first = out[zero]
+        for inp in tap_ix[::-1]:
+            v = xd[inp][zero]
+            np.copyto(first, v, where=v == 0)
+        out[zero] = first
 
     def bwd(g):
         free = np.ones(out.shape, dtype=bool)
         hits = []
-        for gain in gains[::-1]:
-            hit = gain & free
+        for inp in tap_ix[:-1]:
+            hit = np.equal(xd[inp], out)
+            hit &= free
             free ^= hit
             hits.append(hit)
-        hits = [free] + hits[::-1]
+        hits.append(free)
         if stride >= window:
             dx = np.zeros(x.shape, g.dtype)
             gbits = _bits(g + 0)

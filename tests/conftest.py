@@ -3,6 +3,7 @@ import platform
 import sys
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 from xferad.transfer import _usable_cpus
 
@@ -16,10 +17,18 @@ def pytest_report_header(config):
     BLAS build, so a byte-test failure on another machine should name it.
     Also the usable CPUs, which set prefix_features' helper thread count,
     the C library, whose allocator the fresh-process RSS tests measure, and
-    any MALLOC_* variables set, which change that allocator's mode."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    any MALLOC_* variables set, which change that allocator's mode. Last,
+    numpy's SIMD extensions and the loop its float32 np.maximum dispatches
+    to: np.maximum breaks -0.0/+0.0 ties one way in its SIMD loop and the
+    other way in its scalar loop; maxpool2d's outputs depend on neither."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
     libc, libc_version = platform.libc_ver()
     malloc = " ".join(f"{k}={v}" for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_"))
+    maximum = opt_func_info(func_name="^maximum$", signature="^float32$")["maximum"]["fff"]
     return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
             f"usable CPUs {_usable_cpus()}, libc {libc or 'unknown'} {libc_version}, "
-            f"malloc env {malloc or 'none'}")
+            f"malloc env {malloc or 'none'}, SIMD baseline {' '.join(simd['baseline'])} "
+            f"enabled {' '.join(simd['found']) or 'none'}, "
+            f"float32 maximum loop {maximum['current']}")

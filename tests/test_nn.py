@@ -266,7 +266,66 @@ def test_trainable_is_read_from_requires_grad():
     m.layers[0].bias.requires_grad = False
     assert m.layers[0].trainable is False
     assert m.copy().layers[0].trainable is False
-    assert m.layers[1].kind == "relu" and m.layers[1].trainable is True
+    relu = next(l for l in m.layers if l.kind == "relu")
+    assert relu.trainable is True
+
+
+def relu_before_pool(model):
+    """A copy of model with each block as [conv, relu, maxpool]."""
+    layers = model.copy().layers
+    for i in [i for i, layer in enumerate(layers) if layer.kind == "maxpool"]:
+        layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return nn.ModelGraph(layers, model.input_shape, model.num_classes)
+
+
+def assert_same_parameter_bytes(a, b, attr):
+    for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
+        assert na == nb
+        assert getattr(pa, attr).tobytes() == getattr(pb, attr).tobytes(), (attr, na)
+
+
+def zero_background_batch(rng, dtype):
+    """Mostly-zero images, like MNIST digits: at zero biases 84% of pool1's
+    windows then have a zero max, and the relu-first order's mask leaves
+    -0.0 gradients."""
+    x = np.zeros((8, 3, 32, 32), dtype)
+    x[:, :, 10:22, 12:20] = rng.random((8, 3, 12, 8))
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("images", ["random", "zero_background"])
+def test_pool_before_relu_keeps_every_byte_of_the_relu_first_order(dtype, images):
+    """max and relu commute, and the pool's zero re-signing and first-equal
+    hits make the two block orders agree byte for byte: logits, gradients,
+    weights and training records."""
+    rng = np.random.default_rng(12)
+    x = (zero_background_batch(rng, dtype) if images == "zero_background"
+         else rng.random((8, 3, 32, 32)).astype(dtype))
+    y = rng.integers(0, 8, 8)
+    new = nn.build_small_convnet((3, 32, 32), 8, seed=3, dtype=dtype)
+    assert [l.kind for l in new.layers[:3]] == ["conv", "maxpool", "relu"]
+    old = relu_before_pool(new)
+    states = [nn.SgdState(0.05, 1e-6, 0.9, nesterov=True) for _ in range(2)]
+    for _ in range(4):
+        logits = []
+        for model, state in zip((new, old), states):
+            tape = T.Tape()
+            out = model.forward(T.Tensor(x), tape)
+            T.backward(T.softmax_cross_entropy(out, y, tape), tape)
+            logits.append(out.data.tobytes())
+        assert logits[0] == logits[1]
+        assert_same_parameter_bytes(new, old, "grad")
+        for model, state in zip((new, old), states):
+            nn.sgd_step(model, state)
+            nn.zero_grads(model)
+        assert_same_parameter_bytes(new, old, "data")
+
+    config = transfer.TransferConfig(lr0=0.05, batch_size=4, epochs=2, seed=1)
+    trained = [transfer._train_epochs(model, lambda ix: x[ix], y, config)
+               for model in (new, old)]
+    assert trained[0][1] == trained[1][1]
+    assert_same_parameter_bytes(trained[0][0], trained[1][0], "data")
 
 
 def test_loss_strictly_decreases_over_20_fullbatch_steps():
