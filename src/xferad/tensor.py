@@ -10,12 +10,25 @@ arrays mutated in place (by the optimizer, between passes).
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# conv2d's backward hands its weight gradient to this one thread, started
+# on the first submit and kept for later steps
+_DW_HELPER = ThreadPoolExecutor(1, thread_name_prefix="xferad-conv-dw")
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class Tensor:
@@ -323,6 +336,13 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
     channel-major to [F, N*Ho*Wo] and [C*kh*kw, N*Ho*Wo], on the shapes
     _dw_takes_nt picks (the bytes of tensordot's NN product); every other
     shape keeps tensordot.
+
+    When x and w both need gradients and more than one CPU is usable, the
+    backward hands dw to _DW_HELPER's one thread and computes db, dcols and
+    the dx scatter meanwhile, then waits for dw and raises its error, if
+    any. Both threads only read cols and g, each writes only its own
+    arrays, and dw is the one function the serial backward calls, so no
+    byte changes; BLAS and numpy's copies release the GIL.
     """
     stride = int(stride)
     padding = int(padding)
@@ -360,18 +380,22 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
     out = np.matmul(wr, cols).reshape(N, F, Ho, Wo)
     out += b.data[None, :, None, None]
 
+    def weight_grad(gr):
+        if _dw_takes_nt(F, C * kh * kw, N, Ho * Wo):
+            # channel-major copies move contiguous Ho*Wo runs, where
+            # tensordot's sample-major copy of cols transposes element-wise
+            gk = np.ascontiguousarray(gr.transpose(1, 0, 2)).reshape(F, -1)
+            ck = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(C * kh * kw, -1)
+            return np.dot(gk, ck.T).reshape(w.shape)
+        return np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+
     def bwd(g):
         gr = g.reshape(N, F, Ho * Wo)
-        dw = db = dx = None
-        if w.requires_grad:
-            if _dw_takes_nt(F, C * kh * kw, N, Ho * Wo):
-                # channel-major copies move contiguous Ho*Wo runs, where
-                # tensordot's sample-major copy of cols transposes element-wise
-                gk = np.ascontiguousarray(gr.transpose(1, 0, 2)).reshape(F, -1)
-                ck = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(C * kh * kw, -1)
-                dw = np.dot(gk, ck.T).reshape(w.shape)
-            else:
-                dw = np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+        dw = db = dx = pending = None
+        if w.requires_grad and x.requires_grad and _usable_cpus() > 1:
+            pending = _DW_HELPER.submit(weight_grad, gr)
+        elif w.requires_grad:
+            dw = weight_grad(gr)
         if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
@@ -383,6 +407,8 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
                     dcols[:, :, k][wrap] = 0
                 dx[in_ix] += dplanes[:, :, k][out_ix]
             dx = dx.reshape(x.shape).astype(g.dtype, copy=False)
+        if pending is not None:
+            dw = pending.result()  # raises dw's error, if any
         return dx, dw, db
 
     return _emit(out, (x, w, b), bwd, tape)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
@@ -221,13 +220,6 @@ def _stratified_val_split(n_normal, n_anomalous, seed):
     return picks
 
 
-def _usable_cpus():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def prefix_features(model, k, images, index):
     """Activations entering model.layers[k] for the raw images[index],
     tape-free, in index order; index must be non-empty.
@@ -268,7 +260,7 @@ def prefix_features(model, k, images, index):
             except BaseException as e:  # an interrupt too: it stops the others, raised below
                 failures.append((start, e))
 
-    helpers = min(_usable_cpus(), math.ceil(len(index) / step)) - 1
+    helpers = min(T._usable_cpus(), math.ceil(len(index) / step)) - 1
     with ThreadPoolExecutor(max(helpers, 1)) as pool:  # a thread starts only on submit
         for _ in range(helpers):
             pool.submit(work)

@@ -17,6 +17,7 @@ from xferad.errors import (
     ContractError, FormatError, ShapeError, UndefinedMetricError, XferadError,
 )
 
+from mutation import not_refused
 from test_nn import mismatched_weight_records, wrapped_extent_weights, write_weight_records
 
 
@@ -743,6 +744,57 @@ def write_cifar_dir(root):
     rec[:, 0] = rng.permutation(np.repeat(np.arange(10, dtype=np.uint8), 8))
     for i, half in enumerate((rec[:40], rec[40:]), 1):
         (root / f"data_batch_{i}.bin").write_bytes(half.tobytes())
+
+
+def sampled_cuts(size, seed, skip=()):
+    """Every cut inside the first 64 bytes, 24 seeded cuts past them and the
+    cut before the last byte, none of them in skip."""
+    rng = np.random.default_rng(seed)
+    cuts = set(range(min(64, size))) | set(rng.integers(64, size, 24).tolist()) | {size - 1}
+    return sorted(c for c in cuts if c not in skip)
+
+
+def test_cut_input_files_exit_format_through_the_cli(tmp_path, monkeypatch, capsys):
+    """The command that reads a cut file exits 3 with a one-line error and
+    no traceback: a source weight file (transfer), an IDX image file
+    (pretrain) and a CIFAR-10 batch file cut off a record boundary
+    (make-task). Each uncut file runs to exit 0 first."""
+    monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
+    idx = {"images": str(tmp_path / "images"), "labels": str(tmp_path / "labels")}
+    source, task = tmp_path / "source.xfaw", str(tmp_path / "task.json")
+    assert main(["make-synth", "--per-class", "10", "--out-images", idx["images"],
+                 "--out-labels", idx["labels"]]) == 0
+    flags = dataset_flags(idx)
+    pretrain = ["pretrain", *flags, "--per-class", "4", "--epochs", "0", "--out", str(source)]
+    split = ["--train-per-class", "6", "--test-per-class", "2"]
+    assert main(pretrain) == 0
+    assert main(["make-task", *flags, "--anomaly-class", "9", *split, "--out", task]) == 0
+    root = tmp_path / "cifar"
+    write_cifar_dir(root)
+    batch = root / "data_batch_1.bin"
+    runs = [
+        (source, ["transfer", *flags, "--source-weights", str(source), "--task", task,
+                  "--epochs", "0", "--out", str(tmp_path / "detector.xfaw")], ()),
+        (Path(idx["images"]), pretrain, ()),
+        (batch, ["make-task", "--data-format", "cifar10", "--root", str(root), "--anomaly-class",
+                 "1", *split, "--out", str(tmp_path / "cifar_task.json")],
+         range(0, batch.stat().st_size, 3073)),
+    ]
+
+    def exits_format(argv):
+        def load(_path):
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code == EXIT_FORMAT and err.startswith("error: ") and err.count("\n") == 1:
+                raise FormatError(err)
+            return code
+        return load
+
+    for seed, (path, argv, boundaries) in enumerate(runs):
+        blob = path.read_bytes()
+        assert main(argv) == 0, argv[0]
+        cuts = [(cut, blob[:cut]) for cut in sampled_cuts(len(blob), seed, boundaries)]
+        assert not not_refused(path, cuts, exits_format(argv)), argv[0]
 
 
 @pytest.mark.parametrize("data_format", ["dir", "cifar10"])

@@ -1,5 +1,8 @@
 import struct
+import sys
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -326,6 +329,144 @@ def test_pool_before_relu_keeps_every_byte_of_the_relu_first_order(dtype, images
                for model in (new, old)]
     assert trained[0][1] == trained[1][1]
     assert_same_parameter_bytes(trained[0][0], trained[1][0], "data")
+
+
+class CountingHelper:
+    """Stands in for tensor._DW_HELPER: counts submits, runs them on pool."""
+
+    def __init__(self, pool):
+        self.pool, self.submits = pool, 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        return self.pool.submit(fn, *args)
+
+
+def dw_threads(prefix="xferad-conv-dw"):
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+def conv_steps(monkeypatch, cpus, dtype, batch, steps=3):
+    """Per step the logits, gradients and weights of Nesterov SGD on the
+    network and of criterion 1's stride-2 padding-1 conv, whose input x
+    needs a gradient, with tensor._usable_cpus patched to cpus; and the
+    number of dw products handed to the helper."""
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+    helper = CountingHelper(T._DW_HELPER)
+    monkeypatch.setattr(T, "_DW_HELPER", helper)
+    rng = np.random.default_rng([30, batch])
+    images = rng.random((batch, 3, 32, 32)).astype(dtype)
+    labels = rng.integers(0, 8, batch)
+    model = nn.build_small_convnet((3, 32, 32), 8, seed=31, dtype=dtype)
+    state = nn.SgdState(0.05, 1e-6, 0.9, nesterov=True)
+    x, w, b = (T.Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+               for s in ((batch, 4, 9, 9), (5, 4, 3, 3), (5,)))
+    seen = []
+    for _ in range(steps):
+        tape = T.Tape()
+        logits = model.forward(T.Tensor(images), tape)
+        T.backward(T.softmax_cross_entropy(logits, labels, tape), tape)
+        seen.append(logits.data.tobytes())
+        seen += [p.grad.tobytes() for _, p in model.named_parameters()]
+        nn.sgd_step(model, state)
+        nn.zero_grads(model)
+        seen += [p.data.tobytes() for _, p in model.named_parameters()]
+        tape = T.Tape()
+        c = T.conv2d(x, w, b, 2, 1, tape)
+        T.backward(T.sum_all(T.mul(c, c, tape), tape), tape)
+        seen += [c.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)]
+        for t in (x, w, b):
+            t.data = t.data - dtype(0.01) * t.grad
+            t.zero_grad()
+    return seen, helper.submits
+
+
+@pytest.mark.parametrize("batch", [1, 4, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_dw_on_the_helper_keeps_every_byte(monkeypatch, dtype, batch):
+    """With two usable CPUs each conv whose input needs a gradient (conv2,
+    conv3 and the stride-2 conv; conv1's input needs none) computes dw on
+    the helper thread: the same logits, gradients and weights as with one,
+    where every dw runs inline, also when threads switch every microsecond."""
+    serial, inline_submits = conv_steps(monkeypatch, 1, dtype, batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, helper_submits = conv_steps(monkeypatch, 2, dtype, batch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert inline_submits == 0
+    assert helper_submits == 3 * 3
+    assert threaded == serial
+
+
+def test_conv_dw_helper_starts_once_and_only_when_needed(monkeypatch):
+    """No helper thread with one usable CPU, for a tape-free forward, or for
+    a suffix whose first conv's input is a cached activation; with two, one
+    thread serves every later step, so none leaks."""
+    pool = ThreadPoolExecutor(1, thread_name_prefix="conv-dw-probe")
+    monkeypatch.setattr(T, "_DW_HELPER", pool)
+    rng = np.random.default_rng(32)
+    x, y = rng.random((4, 3, 32, 32), dtype=np.float32), rng.integers(0, 8, 4)
+    model = small_model(33)
+    suffix = model.suffix(6)
+    cached = model.forward(T.Tensor(x), upto=6)
+
+    def step(net, batch):
+        tape = T.Tape()
+        T.backward(T.softmax_cross_entropy(net.forward(T.Tensor(batch), tape), y, tape), tape)
+        nn.zero_grads(model)
+
+    try:
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+        for _ in range(3):
+            step(model, x)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        model.forward(T.Tensor(x))
+        step(suffix, cached.data)
+        assert dw_threads("conv-dw-probe") == []
+        before = threading.active_count()
+        for _ in range(40):
+            step(model, x)
+        assert len(dw_threads("conv-dw-probe")) == 1
+        assert threading.active_count() <= before + 1
+    finally:
+        pool.shutdown()
+    assert len(dw_threads()) <= 1
+
+
+def test_an_error_in_the_helpers_dw_leaves_backward_usable(monkeypatch):
+    """dw's error, raised on the helper thread, comes out of T.backward; the
+    helper is not left stuck, so the next backward gives the serial bytes."""
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(34)
+    x, y = rng.random((4, 3, 32, 32), dtype=np.float32), rng.integers(0, 8, 4)
+    model = small_model(35)
+    takes_nt, failing, names = T._dw_takes_nt, [True], []
+
+    def failing_takes_nt(*shape):
+        names.append(threading.current_thread().name)
+        if failing[0]:
+            raise RuntimeError("dw failed")
+        return takes_nt(*shape)
+
+    monkeypatch.setattr(T, "_dw_takes_nt", failing_takes_nt)
+
+    def grads():
+        tape = T.Tape()
+        T.backward(T.softmax_cross_entropy(model.forward(T.Tensor(x), tape), y, tape), tape)
+        out = [p.grad.tobytes() for _, p in model.named_parameters()]
+        nn.zero_grads(model)
+        return out
+
+    with pytest.raises(RuntimeError, match="dw failed"):
+        grads()
+    assert names and names[0].startswith("xferad-conv-dw")
+    nn.zero_grads(model)
+    failing[0] = False
+    threaded = grads()
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+    assert threaded == grads()
 
 
 def test_loss_strictly_decreases_over_20_fullbatch_steps():

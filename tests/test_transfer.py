@@ -544,7 +544,7 @@ def test_prefix_features_bytes_independent_of_the_helper_count(monkeypatch, cpus
     """Helper threads share the chunks but compute each one's bytes as the
     serial loop does; no thread is started with one CPU or one chunk, and
     none outlives the call."""
-    monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
     model = transfer.replace_head(nn.build_small_convnet((3, 16, 16), 8, seed=26, dtype=dtype),
                                   2, seed=26)
     counts = []
@@ -577,7 +577,7 @@ def test_prefix_features_bytes_independent_of_the_helper_count(monkeypatch, cpus
 def test_prefix_features_under_fast_thread_switches(monkeypatch):
     """More threads than cores, switching every microsecond, over 1-sample
     chunks: each chunk runs once and every row gets its own bytes."""
-    monkeypatch.setattr(transfer, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(evaluate, "INFER_BATCH", 1)
     model = small_source(seed=28)
     x = np.random.default_rng(29).random((150, 3, 16, 16), dtype=np.float32)
@@ -601,7 +601,7 @@ def test_prefix_features_raises_the_earliest_chunks_error(monkeypatch, cpus):
     """Chunk 2 holds a [2,H,W] image and chunk 4 a [4,H,W] one. With
     helpers, chunk 2 waits until chunk 4 has failed, yet chunk 2's error,
     the serial loop's, is the one raised, after every helper is joined."""
-    monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
     step = evaluate.INFER_BATCH
     images = [np.zeros((3, 16, 16), np.float32) for _ in range(6 * step)]
     images[2 * step + 5] = np.zeros((2, 16, 16), np.float32)
