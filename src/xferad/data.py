@@ -244,13 +244,14 @@ def load_cifar10_batches(paths):
         if len(blob) != size:
             raise FormatError(f"{path}: size changed from {size} to {len(blob)} bytes")
         rec = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 3073)
+        bad = np.flatnonzero(rec[:, 0] > 9)
+        if bad.size:
+            raise FormatError(f"{path}: label {rec[bad[0], 0]} of record {bad[0]} out of range for CIFAR-10")
         stop = start + len(rec)
         labels[start:stop] = rec[:, 0]
         images[start:stop] = rec[:, 1:].reshape(-1, 3, 32, 32)
         start = stop
         del blob, rec  # free this file's bytes before the next file is read
-    if labels.size and labels.max() > 9:
-        raise FormatError(f"label {labels.max()} out of range for CIFAR-10")
     return LabeledImageSet(images, labels, list(CIFAR10_CLASS_NAMES))
 
 

@@ -121,8 +121,8 @@ class ModelGraph:
 
     The last layer must be the graph's only Dense layer and it must emit
     num_classes logits. The layers' own ops check that they compose: the
-    constructor runs one empty batch through them, tape-free, and keeps
-    the per-sample shape entering each layer for suffix.
+    constructor runs one empty float32 batch through them, tape-free, and
+    keeps the empty activation entering each layer, for its shape and dtype.
     """
 
     def __init__(self, layers, input_shape, num_classes):
@@ -133,9 +133,9 @@ class ModelGraph:
         if dense_positions != [len(self.layers) - 1]:
             raise ShapeError("model must end with its single dense logits layer")
         x = T.Tensor(np.zeros((0, *self.input_shape), np.float32))
-        self._in_shapes = []
+        self._empty = []
         for i, layer in enumerate(self.layers):
-            self._in_shapes.append(x.shape[1:])
+            self._empty.append(x.data)
             try:
                 x = layer.forward(x)
             except ShapeError as e:
@@ -169,7 +169,7 @@ class ModelGraph:
         """
         if start == 0:
             return self
-        return ModelGraph(self.layers[start:], self._in_shapes[start], self.num_classes)
+        return ModelGraph(self.layers[start:], self._empty[start].shape[1:], self.num_classes)
 
     def parameterized_layers(self):
         return [l for l in self.layers if l.params()]
@@ -199,7 +199,7 @@ class ModelGraph:
         clone = object.__new__(ModelGraph)
         clone.input_shape = self.input_shape
         clone.num_classes = self.num_classes
-        clone._in_shapes = self._in_shapes
+        clone._empty = self._empty
         clone.layers = []
         for layer in self.layers:
             lc = object.__new__(type(layer))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,16 +20,51 @@ from .errors import ContractError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# conv2d's backward hands its weight gradient to this one thread, started
-# on the first submit and kept for later steps
-_DW_HELPER = ThreadPoolExecutor(1, thread_name_prefix="xferad-conv-dw")
-
 
 def _usable_cpus():
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# the process's only helper threads, one per usable CPU past the caller's (none
+# starts with one CPU), each started on first use and kept, with its own malloc arena
+_HELPERS = ThreadPoolExecutor(max(_usable_cpus() - 1, 1), thread_name_prefix="xferad-helper")
+
+
+def run_all(tasks):
+    """[t() for t in tasks], the caller and up to min(_usable_cpus(),
+    len(tasks)) - 1 of _HELPERS taking the tasks in order.
+
+    No task starts once one has failed, so every task before the earliest
+    failing one has run, and its error, the serial loop's, is raised. A
+    helper loop not yet started when the caller runs out of tasks is
+    cancelled, not waited on, so a task may call run_all while every
+    helper is busy.
+    """
+    results, failures = [None] * len(tasks), []
+    order, lock = iter(range(len(tasks))), threading.Lock()
+
+    def loop():
+        while True:
+            with lock:
+                i = None if failures else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = tasks[i]()
+            except BaseException as e:  # an interrupt too: it stops the others, raised below
+                failures.append((i, e))
+
+    helpers = [_HELPERS.submit(loop) for _ in range(min(_usable_cpus(), len(tasks)) - 1)]
+    loop()
+    for h in helpers:
+        if not h.cancel():
+            h.result()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
 
 
 class Tensor:
@@ -332,17 +368,12 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
     wrapped columns changes none; contributions that land in the padding
     are never made.
 
-    dw is one NT GEMM of the output gradient and the patches, copied
-    channel-major to [F, N*Ho*Wo] and [C*kh*kw, N*Ho*Wo], on the shapes
-    _dw_takes_nt picks (the bytes of tensordot's NN product); every other
-    shape keeps tensordot.
+    dw is one NT GEMM over channel-major copies on the shapes _dw_takes_nt
+    picks (the bytes of tensordot's NN product), tensordot on the others.
 
-    When x and w both need gradients and more than one CPU is usable, the
-    backward hands dw to _DW_HELPER's one thread and computes db, dcols and
-    the dx scatter meanwhile, then waits for dw and raises its error, if
-    any. Both threads only read cols and g, each writes only its own
-    arrays, and dw is the one function the serial backward calls, so no
-    byte changes; BLAS and numpy's copies release the GIL.
+    When x and w both need gradients, dw and dx run as run_all([dw, dx]):
+    each reads only cols and g and writes its own arrays, as the serial
+    backward does, so no byte changes; BLAS and numpy's copies release the GIL.
     """
     stride = int(stride)
     padding = int(padding)
@@ -389,26 +420,24 @@ def conv2d(x, w, b, stride=1, padding=0, tape=None):
             return np.dot(gk, ck.T).reshape(w.shape)
         return np.tensordot(gr, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
 
+    def input_grad(gr):
+        dcols = np.matmul(wr.T, gr).reshape(N, C, kh * kw, Ho, Wo)
+        dplanes = dcols.reshape(N, C, kh * kw, *out_plane)
+        dx = np.zeros((N, C, *in_plane))
+        for k, out_ix, in_ix, wrap in taps:
+            if wrap:
+                dcols[:, :, k][wrap] = 0
+            dx[in_ix] += dplanes[:, :, k][out_ix]
+        return dx.reshape(x.shape).astype(gr.dtype, copy=False)
+
     def bwd(g):
         gr = g.reshape(N, F, Ho * Wo)
-        dw = db = dx = pending = None
-        if w.requires_grad and x.requires_grad and _usable_cpus() > 1:
-            pending = _DW_HELPER.submit(weight_grad, gr)
-        elif w.requires_grad:
-            dw = weight_grad(gr)
-        if b.requires_grad:
-            db = g.sum(axis=(0, 2, 3))
-        if x.requires_grad:
-            dcols = np.matmul(wr.T, gr).reshape(N, C, kh * kw, Ho, Wo)
-            dplanes = dcols.reshape(N, C, kh * kw, *out_plane)
-            dx = np.zeros((N, C, *in_plane))
-            for k, out_ix, in_ix, wrap in taps:
-                if wrap:
-                    dcols[:, :, k][wrap] = 0
-                dx[in_ix] += dplanes[:, :, k][out_ix]
-            dx = dx.reshape(x.shape).astype(g.dtype, copy=False)
-        if pending is not None:
-            dw = pending.result()  # raises dw's error, if any
+        db = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
+        if w.requires_grad and x.requires_grad:
+            dw, dx = run_all([lambda: weight_grad(gr), lambda: input_grad(gr)])
+        else:
+            dw = weight_grad(gr) if w.requires_grad else None
+            dx = input_grad(gr) if x.requires_grad else None
         return dx, dw, db
 
     return _emit(out, (x, w, b), bwd, tape)

@@ -11,9 +11,8 @@ returned.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -222,51 +221,25 @@ def _stratified_val_split(n_normal, n_anomalous, seed):
 
 def prefix_features(model, k, images, index):
     """Activations entering model.layers[k] for the raw images[index],
-    tape-free, in index order; index must be non-empty.
+    tape-free, in index order, in the shape and dtype of the model's
+    empty-batch pass at layer k.
 
     Each chunk of evaluate.INFER_BATCH samples is gathered, preprocessed
     to the model's input size and run through layers[:k] (k == 0 stops
-    after preprocessing), so the preprocessed images are never all held
-    at once. Every layer of the family maps each sample on its own (conv is
-    one matmul per sample of the stacked batch), so the activations are
-    bit-identical to those of any other batching.
-
-    The first chunk runs on the calling thread and fixes the output's shape
-    and dtype. The rest are shared between the calling thread and one
-    helper thread per further usable CPU (none with one CPU or one chunk),
-    each writing its chunks' rows; the helpers are joined before return. If
-    chunks fail, the earliest one's error is raised, as a serial loop would.
+    after preprocessing) by one tensor.run_all task, which writes its own
+    rows, so the preprocessed images are never all held at once. Every
+    layer of the family maps each sample on its own (conv is one matmul per
+    sample of the stacked batch), so the activations are bit-identical to
+    those of any other batching, on any thread.
     """
-    hw, step = model.input_shape[1:], evaluate.INFER_BATCH
+    hw, step, empty = model.input_shape[1:], evaluate.INFER_BATCH, model._empty[k]
+    out = np.empty((len(index), *empty.shape[1:]), empty.dtype)
 
     def run(start):
         x = data.preprocess_split(data.gather(images, index[start:start + step]), hw)
-        return model.forward(T.Tensor(x), upto=k).data
+        out[start:start + step] = model.forward(T.Tensor(x), upto=k).data
 
-    first = run(0)
-    out = np.empty((len(index),) + first.shape[1:], dtype=first.dtype)
-    out[:len(first)] = first
-    starts, lock, failures = iter(range(step, len(index), step)), threading.Lock(), []
-
-    def work():
-        # a chunk taken after a failure was recorded lies past it, so skip it
-        while not failures:
-            with lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            try:
-                out[start:start + step] = run(start)
-            except BaseException as e:  # an interrupt too: it stops the others, raised below
-                failures.append((start, e))
-
-    helpers = min(T._usable_cpus(), math.ceil(len(index) / step)) - 1
-    with ThreadPoolExecutor(max(helpers, 1)) as pool:  # a thread starts only on submit
-        for _ in range(helpers):
-            pool.submit(work)
-        work()
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    T.run_all([functools.partial(run, start) for start in range(0, len(index), step)])
     return out
 
 

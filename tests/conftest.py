@@ -15,9 +15,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 def pytest_report_header(config):
     """The numpy and BLAS the byte tests ran on: a GEMM's bits depend on the
     BLAS build, so a byte-test failure on another machine should name it.
-    Also the usable CPUs, which set prefix_features' helper thread count
-    and whether conv2d's backward computes dw on its helper thread, the C
-    library, whose allocator the fresh-process RSS tests measure, and
+    Also the usable CPUs, which size the kept helper pool and set how many
+    helpers tensor.run_all shares conv2d's dw and dx and prefix_features'
+    chunks with, the C library, whose allocator the fresh-process RSS tests measure, and
     any MALLOC_* variables set, which change that allocator's mode. Last,
     numpy's SIMD extensions and the loop its float32 np.maximum dispatches
     to: np.maximum breaks -0.0/+0.0 ties one way in its SIMD loop and the

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
 import struct
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xferad import cli, data, evaluate, nn, transfer
 from xferad.cli import main
@@ -633,6 +638,68 @@ def test_deeply_nested_task_file_exits_format_without_a_traceback(corpus, tmp_pa
     assert "not valid JSON" in proc.stderr
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def mutated_task_runs(corpus, source_weights, task_file, tmp_path_factory):
+    """(the make-task document, the dataset size, run(doc)): run writes doc
+    as a task file and returns the exit codes and stderr of validate-task
+    and evaluate on it, both run in this process."""
+    root = tmp_path_factory.mktemp("mutated")
+    detector, task, out_dir = str(root / "detector.xfaw"), str(root / "task.json"), str(root / "eval")
+    nn.save_weights(transfer.replace_head(nn.load_weights(source_weights), 2, 0), detector)
+
+    def run(doc):
+        with open(task, "w") as f:
+            json.dump(doc, f)
+        runs = []
+        for argv in (["validate-task", *dataset_flags(corpus), "--task", task],
+                     ["evaluate", *dataset_flags(corpus), "--weights", detector, "--task", task,
+                      "--out-dir", out_dir]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                runs.append((main(argv), err.getvalue()))
+        return runs
+
+    return json.load(open(task_file)), len(data.load_idx(corpus["images"], corpus["labels"])), run
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_task_file_with_one_change_exits_0_3_or_5(mutated_task_runs, pick):
+    """One change to a valid make-task file (a key deleted, a value replaced
+    by generated JSON, or an index set to -1, to the dataset size or to a
+    duplicate) makes validate-task and evaluate exit 0, 3 or 5, never with
+    a traceback."""
+    base, n, run = mutated_task_runs
+    doc = copy.deepcopy(base)
+    paths = [(k,) for k in doc] + [("indices", s) for s in doc["indices"]]
+    paths += [("inputs", p) for p in doc["inputs"]]
+    kind = pick.draw(st.sampled_from(["delete", "replace", "index"]))
+    split = pick.draw(st.sampled_from(sorted(doc["indices"])))
+    pos = pick.draw(st.integers(0, len(doc["indices"][split]) - 1))
+    if kind == "index":
+        every = [i for ix in doc["indices"].values() for i in ix]
+        doc["indices"][split][pos] = pick.draw(st.sampled_from([-1, n, *every]))
+    else:
+        path = pick.draw(st.sampled_from(paths + ([("indices", split, pos)] if kind == "replace" else [])))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = pick.draw(JSON_VALUES)
+    for code, err in run(doc):
+        assert code in (0, EXIT_FORMAT, EXIT_CONSISTENCY), err
+        assert "Traceback" not in err
+
+
 def test_evaluate_uses_and_records_the_weights_input_size(corpus, source_weights, task_file,
                                                           tmp_path):
     detector = str(tmp_path / "detector.xfaw")
@@ -744,6 +811,26 @@ def write_cifar_dir(root):
     rec[:, 0] = rng.permutation(np.repeat(np.arange(10, dtype=np.uint8), 8))
     for i, half in enumerate((rec[:40], rec[40:]), 1):
         (root / f"data_batch_{i}.bin").write_bytes(half.tobytes())
+
+
+@pytest.mark.parametrize("label", [10, 255])
+@pytest.mark.parametrize("name,record", [("data_batch_1.bin", 0), ("data_batch_2.bin", 39)])
+def test_cifar10_label_out_of_range_exits_format(tmp_path, capsys, label, name, record):
+    """validate-task on a CIFAR-10 directory with a label byte above 9 exits
+    3 with one error line naming the file and the record."""
+    root = tmp_path / "cifar"
+    write_cifar_dir(root)
+    task = str(tmp_path / "task.json")
+    flags = ["--data-format", "cifar10", "--root", str(root)]
+    assert main(["make-task", *flags, "--anomaly-class", "1", "--train-per-class", "4",
+                 "--test-per-class", "2", "--out", task]) == 0
+    blob = bytearray((root / name).read_bytes())
+    blob[3073 * record] = label
+    (root / name).write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["validate-task", *flags, "--task", task]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err == f"error: {root / name}: label {label} of record {record} out of range for CIFAR-10\n"
 
 
 def sampled_cuts(size, seed, skip=()):

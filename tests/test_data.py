@@ -299,6 +299,20 @@ def write_cifar_batch(path, n, seed):
     return rec
 
 
+@pytest.mark.parametrize("label", [10, 255])
+@pytest.mark.parametrize("file,record", [(0, 0), (1, 6)])
+def test_cifar10_label_out_of_range_names_its_file_and_record(tmp_path, label, file, record):
+    """A label byte above 9, in the first file's first record or in the
+    last record of a second file, is a FormatError naming both."""
+    paths = [tmp_path / "data_batch_1.bin", tmp_path / "data_batch_2.bin"]
+    recs = [write_cifar_batch(p, n, seed) for p, n, seed in zip(paths, (5, 7), (14, 15))]
+    recs[file][record, 0] = label
+    paths[file].write_bytes(recs[file].tobytes())
+    with pytest.raises(FormatError) as e:
+        data.load_cifar10_batches(paths)
+    assert str(e.value) == f"{paths[file]}: label {label} of record {record} out of range for CIFAR-10"
+
+
 def loaded_sets(tmp_path):
     """{loader: (its images, the uint8 [C,H,W] pixels its files hold, the
     most common image size)} for an IDX pair, a directory of P5 and P6 files

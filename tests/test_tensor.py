@@ -1,4 +1,9 @@
+import functools
 import itertools
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from xferad.errors import ContractError, ShapeError
 
 import ref_kernels
 from fdcheck import TOL_DEFAULT, TOL_POOLING, assert_grads_close, numeric_grad
+from test_nn import HELPER_BOUND
 
 
 def leaf(arr):
@@ -484,3 +490,99 @@ def test_forward_outputs_finite_on_finite_inputs():
     out = T.relu(T.conv2d(x, w, b, 1, 1))
     pooled = T.maxpool2d(out, 2, 2)
     assert np.all(np.isfinite(pooled.data))
+
+
+# ---------------------------------------------------------------------------
+# run_all: the one helper pool
+
+
+def test_run_all_returns_results_in_task_order(monkeypatch):
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 4)
+    assert T.run_all([]) == []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = T.run_all([lambda i=i: i * i for i in range(200)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(200)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_run_all_raises_the_earliest_error_and_starts_nothing_after_it(monkeypatch, cpus):
+    """Task 1 fails only after task 3 has failed, yet task 1's error, the
+    serial loop's, is raised; with one CPU task 3 never starts. While task 1
+    waits, the other threads start no task past those they took before
+    task 3's error was recorded."""
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+    started, task3_failed = [], threading.Event()
+
+    def task(i):
+        started.append(i)
+        if i == 1:
+            if cpus > 1:
+                task3_failed.wait(10)
+                time.sleep(0.05)  # time for the other threads to take tasks, were they allowed
+            raise ValueError("task 1")
+        if i == 3:
+            task3_failed.set()
+            raise KeyError("task 3")
+        return i
+
+    with pytest.raises(ValueError, match="task 1"):
+        T.run_all([functools.partial(task, i) for i in range(12)])
+    time.sleep(0.05)
+    threads = min(cpus, HELPER_BOUND + 1)
+    assert task3_failed.is_set() == (threads > 1)
+    if threads == 1:
+        assert started == [0, 1]
+    else:
+        assert set(started) >= {0, 1, 2, 3}
+        assert len(started) == len(set(started)) <= 4 + threads - 2
+
+
+def test_run_all_pool_works_after_an_error(monkeypatch):
+    """After a task's error on a helper thread, the next run_all still
+    shares its tasks with a helper."""
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    barrier = threading.Barrier(2, timeout=10)
+
+    def fail_on_helper():
+        barrier.wait()  # one task per thread
+        if threading.current_thread().name.startswith("xferad-helper"):
+            raise RuntimeError("helper task failed")
+
+    with pytest.raises(RuntimeError, match="helper task failed"):
+        T.run_all([fail_on_helper, fail_on_helper])
+
+    def name():
+        barrier.wait()
+        return threading.current_thread().name
+
+    names = T.run_all([name, name])
+    assert len(set(names)) == 2
+    assert any(n.startswith("xferad-helper") for n in names)
+
+
+def test_run_all_inside_a_task_while_every_helper_is_busy(monkeypatch):
+    """A task that calls run_all on the pool's only helper, which it keeps
+    busy, gets every result: the queued helper loop is cancelled, not
+    waited on."""
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    pool = ThreadPoolExecutor(1, thread_name_prefix="xferad-helper-probe")
+    monkeypatch.setattr(T, "_HELPERS", pool)
+    barrier = threading.Barrier(2, timeout=10)
+
+    def task():
+        barrier.wait()  # one task per thread
+        if threading.current_thread().name.startswith("xferad-helper-probe"):
+            return T.run_all([lambda: 1, lambda: 2])
+        return None
+
+    outer = []
+    caller = threading.Thread(target=lambda: outer.extend(T.run_all([task, task])), daemon=True)
+    caller.start()
+    caller.join(30)
+    pool.shutdown(wait=False)
+    assert not caller.is_alive(), "run_all waited on a helper loop that could not start"
+    assert sorted(outer, key=str) == [None, [1, 2]]

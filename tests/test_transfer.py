@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from xferad import tensor as T
 from xferad.evaluate import ScoredSet, anomaly_scores, auc_trapezoid
 
 from rsscheck import peak_rss_growth
+from test_nn import HELPER_BOUND, helper_threads
 
 
 def feature_activations(model, x):
@@ -542,32 +546,37 @@ def serial_prefix_features(model, k, images, index):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_prefix_features_bytes_independent_of_the_helper_count(monkeypatch, cpus, dtype):
     """Helper threads share the chunks but compute each one's bytes as the
-    serial loop does; no thread is started with one CPU or one chunk, and
-    none outlives the call."""
+    serial loop does; with one CPU or one chunk the calling thread runs
+    every chunk, and the process never holds more helpers than the kept
+    pool."""
     monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
     model = transfer.replace_head(nn.build_small_convnet((3, 16, 16), 8, seed=26, dtype=dtype),
                                   2, seed=26)
-    counts = []
+    runners, counts = set(), []
     forward = model.forward
-    monkeypatch.setattr(model, "forward", lambda batch, **kw: counts.append(
-        threading.active_count()) or forward(batch, **kw))
+
+    def recording_forward(batch, **kw):
+        runners.add(threading.current_thread().name)
+        counts.append(len(helper_threads()))
+        return forward(batch, **kw)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
     rng = np.random.default_rng(27)
     stacked = rng.random((70, 3, 16, 16), dtype=np.float32)
     # runs of grayscale 20x20 and color 16x16 images, cut across chunks
     ragged = [rng.random((1, 20, 20), dtype=np.float32) if i % 23 < 9 else stacked[i]
               for i in range(70)]
-    before = threading.active_count()
     for images in (stacked, ragged):
         for n in (1, 16, 17, 70):
             index = np.arange(n)[::-1]
             helpers = min(cpus, -(-n // evaluate.INFER_BATCH)) - 1
             for k in (0, 3, 6, 10):
-                counts.clear()
+                runners.clear()
                 got = transfer.prefix_features(model, k, images, index)
-                assert threading.active_count() == before
-                assert max(counts) <= before + helpers
+                assert len(runners) <= helpers + 1
                 if helpers == 0:
-                    assert max(counts) == before
+                    assert runners == {threading.current_thread().name}
+                assert max(counts + [len(helper_threads())]) <= HELPER_BOUND
                 want = serial_prefix_features(model, k, images, index)
                 assert got.dtype == (np.float32 if k == 0 else dtype)
                 assert got.shape == want.shape
@@ -600,16 +609,18 @@ def test_prefix_features_under_fast_thread_switches(monkeypatch):
 def test_prefix_features_raises_the_earliest_chunks_error(monkeypatch, cpus):
     """Chunk 2 holds a [2,H,W] image and chunk 4 a [4,H,W] one. With
     helpers, chunk 2 waits until chunk 4 has failed, yet chunk 2's error,
-    the serial loop's, is the one raised, after every helper is joined."""
+    the serial loop's, is the one raised, and no chunk runs after it: the
+    calling thread waits for every helper that took one."""
     monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
     step = evaluate.INFER_BATCH
     images = [np.zeros((3, 16, 16), np.float32) for _ in range(6 * step)]
     images[2 * step + 5] = np.zeros((2, 16, 16), np.float32)
     images[4 * step + 5] = np.zeros((4, 16, 16), np.float32)
-    chunk4_failing = threading.Event()
+    chunk4_failing, started = threading.Event(), []
     preprocess = data.preprocess_split
 
     def waiting_preprocess(chunk, hw):
+        started.append(len(chunk))
         channels = {len(image) for image in chunk}
         if 4 in channels:
             chunk4_failing.set()
@@ -620,11 +631,55 @@ def test_prefix_features_raises_the_earliest_chunks_error(monkeypatch, cpus):
         return preprocess(chunk, hw)
 
     monkeypatch.setattr(data, "preprocess_split", waiting_preprocess)
-    before = threading.active_count()
     with pytest.raises(ShapeError, match=r"got \(2, 16, 16\)"):
         transfer.prefix_features(small_source(seed=25), 6, images, np.arange(len(images)))
-    assert threading.active_count() == before
+    count = len(started)
+    time.sleep(0.05)
+    assert len(started) == count <= (3 if cpus == 1 else 6)
+    assert len(helper_threads()) <= HELPER_BOUND
     assert chunk4_failing.is_set() == (cpus > 1)
+
+
+def test_helper_threads_never_exceed_the_kept_pool(monkeypatch):
+    """Across pretrain steps and prefix_features calls the process holds at
+    most max(usable CPUs - 1, 1) xferad-helper threads; with one usable CPU
+    it starts none. That case runs in a fresh process pinned to one CPU,
+    as this one may have started its kept helper already."""
+    counts = []
+    run_all = T.run_all
+
+    def counting_run_all(tasks):
+        counts.append(len(helper_threads()))
+        out = run_all(tasks)
+        counts.append(len(helper_threads()))
+        return out
+
+    monkeypatch.setattr(T, "run_all", counting_run_all)
+    ds = source_digits(per_class=8)
+    config = transfer.TransferConfig(lr0=0.05, batch_size=16, epochs=2, seed=40)
+    trained, _ = transfer.pretrain_source(small_source(seed=40), ds, config)
+    transfer.prefix_features(trained, 6, ds.images, np.arange(len(ds)))
+    assert len(counts) > 2 * 8
+    assert max(counts) <= HELPER_BOUND
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    script = f"""
+import os, sys, threading
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+sys.path.insert(0, {str(Path(transfer.__file__).parents[1])!r})
+import numpy as np
+from xferad import data, nn, synth, transfer
+ds = synth.make_digit_set(8, seed=0, classes=(0, 1, 2, 3))
+ds = data.LabeledImageSet(data.preprocess_split(ds.images, (16, 16)), ds.labels, ds.class_names)
+config = transfer.TransferConfig(lr0=0.05, batch_size=16, epochs=2, seed=41)
+trained, _ = transfer.pretrain_source(nn.build_small_convnet((3, 16, 16), 4, seed=41), ds, config)
+transfer.prefix_features(trained, 6, ds.images, np.arange(len(ds)))
+print(len([t for t in threading.enumerate() if t.name.startswith("xferad-helper")]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
