@@ -85,7 +85,8 @@ def _add_dataset_args(p):
     p.add_argument("--labels", help="IDX label file (idx format)")
     p.add_argument("--root", default=os.environ.get(DATA_ENV_VAR),
                    help=f"data directory for dir/cifar10 formats (default ${DATA_ENV_VAR})")
-    p.add_argument("--class-dirs", help="comma-separated class subdirectories (dir format)")
+    p.add_argument("--class-dirs", type=_class_dirs,
+                   help="comma-separated class subdirectories (dir format)")
     p.add_argument("--size", type=_count, nargs=2, default=[32, 32], metavar=("H", "W"),
                    help="pretrain's input size (default 32 32; use 224 224 or 299 299 for full-fidelity "
                         "runs); the other commands use their weights' input size")
@@ -460,6 +461,9 @@ _class_list = _checked(
     lambda v: min(v) >= 0 and len(set(v)) == len(v),
     "distinct comma-separated integers >= 0",
 )
+# kept as the text, which the manifest records
+_class_dirs = _checked(str, lambda v: len(set(v.split(",")) - {""}) == len(v.split(",")),
+                       "distinct non-empty comma-separated names")
 
 
 def _add_detector_args(p, epochs):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, ShapeError
+from .errors import CapacityError, ContractError, FormatError, ShapeError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -127,9 +127,17 @@ def write_idx(images, labels, images_path, labels_path):
     """Serialize grayscale [N,1,H,W] images back to IDX files. uint8 images
     are written as they are; others are taken as [0,1] values and quantized
     in chunks of _CHUNK_PIXELS into one uint8 array that is written after
-    the work."""
-    images = np.asarray(images)
+    the work. What load_idx would reject or misread is refused before any
+    file is opened: images not [N,1,H,W] with H, W >= 1, a label count
+    other than N, labels outside 0..255."""
+    images, labels = np.asarray(images), np.asarray(labels)
+    if images.ndim != 4 or images.shape[1] != 1 or 0 in images.shape[2:]:
+        raise ShapeError(f"write_idx: images must be [N,1,H,W] with H, W >= 1, got {images.shape}")
     n, _, rows, cols = images.shape
+    if labels.shape != (n,):
+        raise ShapeError(f"write_idx: labels of shape {labels.shape} for {n} images")
+    if n and (labels.min() < 0 or labels.max() > 255):
+        raise ContractError(f"write_idx: labels {labels.min()}..{labels.max()} outside 0..255")
     if images.dtype == np.uint8:
         pix = np.ascontiguousarray(images)
     else:
@@ -142,7 +150,7 @@ def write_idx(images, labels, images_path, labels_path):
         f.write(pix)
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+        f.write(labels.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

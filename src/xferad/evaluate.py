@@ -24,13 +24,10 @@ SCORE_CONVENTION = "anomalous_neuron_probability"
 LABEL_NORMAL = 0
 LABEL_ANOMALOUS = 1
 
-# samples per tape-free forward pass, in scoring and in the frozen-prefix
-# cache: at 32x32 input, 16 keep conv1's patch buffer (1.8 MB) and pool1's
-# input (1.0 MB) each within a 2 MiB L2 cache; 64 made them 7.1 and 4.2 MB.
-# The frozen-prefix cache runs its chunks through tensor.run_all, one per
-# thread at once, each thread's chunk within its own core's L2.
-# Activations are per sample; the dense head's rows match between chunks of
-# 16 and 64 because anomaly_scores never runs a last chunk of one row.
+# samples per chunk of infer: at 32x32 input, 16 keep conv1's patch buffer
+# (1.8 MB) and pool1's input (1.0 MB) each within a 2 MiB L2 cache; 64 made
+# them 7.1 and 4.2 MB. run_all runs one chunk per thread at once, each
+# within its own core's L2.
 INFER_BATCH = 16
 
 
@@ -104,28 +101,39 @@ class EvalReport:
 # scoring
 
 
-def anomaly_scores(model, samples):
-    """Softmax probability of the anomalous-class neuron, per sample.
+def infer(model, rows, n, upto=None):
+    """model.forward(Tensor(rows(s)), upto=upto), tape-free, over slices s
+    of INFER_BATCH samples that cut range(n), stacked in order into an array
+    in the shape and dtype of the model's empty-batch pass at upto (None:
+    the logits). Each slice is one tensor.run_all task writing its own rows.
 
-    Pure inference (no tape); the model must have exactly 2 outputs.
-    AUC under this orientation equals AUC under the complementary
-    normal-neuron scoring. A 1-row last chunk joins the chunk before it.
-    Each chunk enters a Tensor, so float64 samples stay float64 and a
-    double-precision model's cached activations score unrounded; any
-    other dtype becomes float32.
+    A 1-row last slice joins the one before it: numpy runs a 1-row product
+    as gemv, which rounds unlike sgemm. Otherwise every layer maps each
+    sample on its own, so no byte depends on the batching or the thread.
+    """
+    empty = model._empty[-1 if upto is None else upto]
+    out = np.empty((n, *empty.shape[1:]), empty.dtype)
+    stop = n - 1 if n > 1 and (n - 1) % INFER_BATCH == 0 else n  # joins a 1-row last slice
+    cuts = [*range(0, stop, INFER_BATCH), n]
+
+    def run(s):
+        out[s] = model.forward(T.Tensor(rows(s)), upto=upto).data
+
+    T.run_all([lambda s=slice(a, b): run(s) for a, b in zip(cuts, cuts[1:])])
+    return out
+
+
+def anomaly_scores(model, samples):
+    """Softmax probability of the anomalous-class neuron, per sample, from
+    infer's logits, held in the model's dtype; the model must have exactly
+    2 outputs. AUC under this orientation equals AUC under the
+    complementary normal-neuron scoring.
     """
     if model.num_classes != 2:
         raise ContractError(f"anomaly scoring needs a 2-class model, got {model.num_classes}")
     samples = np.asarray(samples)
-    n = len(samples)
-    starts = list(range(0, n, INFER_BATCH))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()  # numpy runs a 1-row product as gemv, which rounds unlike sgemm
-    out = np.empty(n, dtype=np.float64)
-    for start, stop in zip(starts, starts[1:] + [n]):
-        logits = model.forward(T.Tensor(samples[start:stop])).data
-        out[start:stop] = T.softmax(logits)[:, LABEL_ANOMALOUS]
-    return out
+    logits = infer(model, lambda s: samples[s], len(samples))
+    return T.softmax(logits)[:, LABEL_ANOMALOUS].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ class ModelGraph:
     The last layer must be the graph's only Dense layer and it must emit
     num_classes logits. The layers' own ops check that they compose: the
     constructor runs one empty float32 batch through them, tape-free, and
-    keeps the empty activation entering each layer, for its shape and dtype.
+    keeps the empty activation entering each layer, then the empty logits,
+    for their shapes and dtypes.
     """
 
     def __init__(self, layers, input_shape, num_classes):
@@ -133,13 +134,13 @@ class ModelGraph:
         if dense_positions != [len(self.layers) - 1]:
             raise ShapeError("model must end with its single dense logits layer")
         x = T.Tensor(np.zeros((0, *self.input_shape), np.float32))
-        self._empty = []
+        self._empty = [x.data]
         for i, layer in enumerate(self.layers):
-            self._empty.append(x.data)
             try:
                 x = layer.forward(x)
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
+            self._empty.append(x.data)
         if x.shape[1:] != (self.num_classes,):
             raise ShapeError(f"final layer produces {x.shape[1:]}, expected ({self.num_classes},)")
 

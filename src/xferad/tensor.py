@@ -455,15 +455,13 @@ def maxpool2d(x, window, stride, tape=None):
     +0.0 already): the output is the first maximal element's bits for
     every non-NaN input (NaN is outside this contract).
 
-    The backward's hits are the first tap, in row-major order, equal to
-    the output. Disjoint windows (stride >= window) assign each tap's hit
-    gradients of g + 0 into a zero array, so a -0.0 gradient lands as
-    +0.0. Overlapping windows (stride < window) add the hit gradients
-    into a float64 zero array in row-major window order, then cast once
-    to the gradient's dtype. Both select values through their bit
-    patterns (the bits multiplied by a 0/1 mask) instead of np.where,
-    whose per-element branch mispredicts on pooling data and costs
-    several times as much.
+    Windows must not overlap (stride >= window). The backward's hits are
+    the first tap, in row-major order, equal to the output; it assigns
+    each tap's hit gradients of g + 0 into a zero array, so a -0.0
+    gradient lands as +0.0. It selects values through their bit patterns
+    (the bits multiplied by a 0/1 mask) instead of np.where, whose
+    per-element branch mispredicts on pooling data and costs several
+    times as much.
     """
     window = int(window)
     stride = int(stride)
@@ -474,6 +472,8 @@ def maxpool2d(x, window, stride, tape=None):
     H, W = x.shape[2:]
     if window > H or window > W:
         raise ShapeError(f"maxpool2d: window {window} exceeds spatial extent {H}x{W}")
+    if stride < window:
+        raise ShapeError(f"maxpool2d: stride {stride} below window {window}: windows would overlap")
 
     Ho, Wo = (H - window) // stride + 1, (W - window) // stride + 1
     tap_ix = [inp for _, _, inp in _clipped_taps(H, W, window, window, stride, 0, Ho, Wo)]
@@ -503,18 +503,11 @@ def maxpool2d(x, window, stride, tape=None):
             free ^= hit
             hits.append(hit)
         hits.append(free)
-        if stride >= window:
-            dx = np.zeros(x.shape, g.dtype)
-            gbits = _bits(g + 0)
-            for inp, hit in zip(tap_ix, hits):
-                np.multiply(gbits, hit, out=_bits(dx[inp]))
-            return (dx,)
-        dx = np.zeros(x.shape)
-        gbits = _bits(g)
-        # reverse tap order visits the windows sharing an element in row-major order
-        for inp, hit in zip(tap_ix[::-1], hits[::-1]):
-            dx[inp] += (gbits * hit).view(g.dtype)  # g, or +0.0
-        return (dx.astype(g.dtype, copy=False),)
+        dx = np.zeros(x.shape, g.dtype)
+        gbits = _bits(g + 0)
+        for inp, hit in zip(tap_ix, hits):
+            np.multiply(gbits, hit, out=_bits(dx[inp]))
+        return (dx,)
 
     return _emit(out, (x,), bwd, tape)
 

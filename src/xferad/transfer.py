@@ -11,16 +11,15 @@ returned.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import data, evaluate, nn
+from . import data, nn
 from . import tensor as T
 from .errors import CapacityError, ContractError
-from .evaluate import ScoredSet, anomaly_scores, auc_trapezoid
+from .evaluate import ScoredSet, anomaly_scores, auc_trapezoid, infer
 
 STRATEGY_FIXED = "fixed_extractor"
 STRATEGY_FINE_TUNE = "fine_tune"
@@ -169,15 +168,11 @@ def replace_head(model, num_classes, seed):
     Every non-head parameter of the returned model is bit-identical to
     the input model's; the input model is untouched.
     """
-    out = model.copy()
-    if not out.layers or out.layers[-1].kind != "dense":
+    if not model.layers or model.layers[-1].kind != "dense":
         raise ContractError("model must end in a dense layer to replace its head")
-    old = out.layers[-1]
-    rng = np.random.default_rng(seed)
-    head = nn.Dense(old.weight.shape[0], num_classes, rng=rng, dtype=old.weight.dtype)
-    out.layers[-1] = head
-    out.num_classes = int(num_classes)
-    return out
+    old = model.layers[-1].weight
+    head = nn.Dense(old.shape[0], num_classes, rng=np.random.default_rng(seed), dtype=old.dtype)
+    return nn.ModelGraph([*model.copy().layers[:-1], head], model.input_shape, num_classes)
 
 
 def _freeze_flags(model, policy):
@@ -220,27 +215,14 @@ def _stratified_val_split(n_normal, n_anomalous, seed):
 
 
 def prefix_features(model, k, images, index):
-    """Activations entering model.layers[k] for the raw images[index],
-    tape-free, in index order, in the shape and dtype of the model's
-    empty-batch pass at layer k.
-
-    Each chunk of evaluate.INFER_BATCH samples is gathered, preprocessed
-    to the model's input size and run through layers[:k] (k == 0 stops
-    after preprocessing) by one tensor.run_all task, which writes its own
-    rows, so the preprocessed images are never all held at once. Every
-    layer of the family maps each sample on its own (conv is one matmul per
-    sample of the stacked batch), so the activations are bit-identical to
-    those of any other batching, on any thread.
+    """Activations entering model.layers[k] for the raw images[index], in
+    index order: evaluate.infer over chunks gathered and preprocessed to
+    the model's input size (k == 0 stops after preprocessing), so the
+    preprocessed images are never all held at once.
     """
-    hw, step, empty = model.input_shape[1:], evaluate.INFER_BATCH, model._empty[k]
-    out = np.empty((len(index), *empty.shape[1:]), empty.dtype)
-
-    def run(start):
-        x = data.preprocess_split(data.gather(images, index[start:start + step]), hw)
-        out[start:start + step] = model.forward(T.Tensor(x), upto=k).data
-
-    T.run_all([functools.partial(run, start) for start in range(0, len(index), step)])
-    return out
+    hw = model.input_shape[1:]
+    return infer(model, lambda s: data.preprocess_split(data.gather(images, index[s]), hw),
+                 len(index), k)
 
 
 def check_target(model, config):

@@ -16,7 +16,7 @@ def pytest_report_header(config):
     """The numpy and BLAS the byte tests ran on: a GEMM's bits depend on the
     BLAS build, so a byte-test failure on another machine should name it.
     Also the usable CPUs, which size the kept helper pool and set how many
-    helpers tensor.run_all shares conv2d's dw and dx and prefix_features'
+    helpers tensor.run_all shares conv2d's dw and dx and evaluate.infer's
     chunks with, the C library, whose allocator the fresh-process RSS tests measure, and
     any MALLOC_* variables set, which change that allocator's mode. Last,
     numpy's SIMD extensions and the loop its float32 np.maximum dispatches

@@ -357,6 +357,7 @@ def bench_run(tmp_path_factory):
     return {"root": root, "corpora": corpora, "weights": weights, "dirs": dirs}
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_benchmark(bench_run):
     with gate(7, "desk-scale one-vs-rest benchmark over all 10 classes"):
         fine, fine_mean = _read_bench_csv(os.path.join(bench_run["dirs"]["finetune"], "benchmark.csv"))
@@ -373,6 +374,7 @@ def test_criterion_7_desk_scale_benchmark(bench_run):
             )
 
 
+@pytest.mark.slow
 def test_criterion_8_benchmark_determinism(bench_run, tmp_path_factory):
     with gate(8, "identical seeds reproduce every weight file and CSV"):
         root2 = tmp_path_factory.mktemp("bench_run2")

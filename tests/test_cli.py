@@ -333,6 +333,8 @@ MALFORMED_NUMERIC_FLAGS = [
     ("benchmark", ["--lr", "0"]),
     ("benchmark", ["--freeze-depth", "-1"]),
     ("make-task", ["--anomaly-class", "-1"]),
+    ("make-task", ["--class-dirs", "a,a"]),
+    ("make-task", ["--class-dirs", "a,"]),
 ]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xferad import data, evaluate
-from xferad.errors import CapacityError, FormatError, ShapeError
+from xferad.errors import CapacityError, ContractError, FormatError, ShapeError
 
 import ref_kernels
 from mutation import not_refused, sample_mutations
@@ -115,6 +115,24 @@ def test_idx_write_read_roundtrip(tmp_path):
     assert ip2.read_bytes() == ip.read_bytes()
     ds2 = data.load_idx(ip2, lp2)
     assert np.array_equal(ds1.images, ds2.images)
+
+
+@pytest.mark.parametrize("images, labels, error, match", [
+    (np.zeros((2, 1, 4, 4), np.uint8), np.array([1, 300]), ContractError, "outside 0..255"),
+    (np.zeros((2, 1, 4, 4), np.uint8), np.array([-1, 0]), ContractError, "outside 0..255"),
+    (np.zeros((2, 3, 4, 4), np.uint8), np.zeros(2, np.int64), ShapeError, r"\[N,1,H,W\]"),
+    (np.zeros((2, 4, 4), np.uint8), np.zeros(2, np.int64), ShapeError, r"\[N,1,H,W\]"),
+    (np.zeros((2, 1, 0, 4), np.uint8), np.zeros(2, np.int64), ShapeError, r"\[N,1,H,W\]"),
+    (np.zeros((2, 1, 4, 4), np.uint8), np.zeros(3, np.int64), ShapeError, "for 2 images"),
+    (np.zeros((2, 1, 4, 4), np.uint8), np.zeros((2, 1), np.int64), ShapeError, "for 2 images"),
+])
+def test_write_idx_refuses_what_load_idx_would_misread(tmp_path, images, labels, error, match):
+    """A label of 300 would read back as 44 and -1 as 255, and a [N,3,H,W]
+    image file as overlong: each is refused before any file is opened."""
+    ip, lp = tmp_path / "i", tmp_path / "l"
+    with pytest.raises(error, match=match):
+        data.write_idx(images, labels, ip, lp)
+    assert not ip.exists() and not lp.exists()
 
 
 def test_synth_corpus_histogram_matches_independent_byte_reader(tmp_path):

@@ -219,15 +219,18 @@ def test_maxpool_matches_oracle_bytes(dtype, kind):
     grid += [((n, *chw), 2, 2) for n in NETWORK_BATCHES for chw in NETWORK_POOL_INPUTS]
     for shape, window, stride in grid:
         xd = _values(rng, shape, dtype, kind)
+        if stride < window:  # overlapping windows are rejected
+            with pytest.raises(ShapeError, match="windows would overlap"):
+                T.maxpool2d(T.Tensor(xd), window, stride)
+            continue
         ref_out, ref_bwd = ref_kernels.maxpool2d(xd, window, stride)
         tape = T.Tape()
         out = T.maxpool2d(T.Tensor(xd, requires_grad=True), window, stride, tape)
         assert_same_bytes(out.data, ref_out)
         for g_kind in VALUE_KINDS + ("infinite",):
             g = _values(rng, ref_out.shape, dtype, g_kind)
-            with np.errstate(invalid="ignore"):  # inf + -inf where windows overlap
-                (dx,) = tape.nodes[-1].backward_fn(g)
-                assert_same_bytes(dx, ref_bwd(g))
+            (dx,) = tape.nodes[-1].backward_fn(g)
+            assert_same_bytes(dx, ref_bwd(g))
 
 
 @pytest.mark.parametrize("kind", VALUE_KINDS)
@@ -288,7 +291,7 @@ def test_conv2d_dw_paths(monkeypatch):
     assert taken == [nt for *_, nt in convs]
 
 
-@pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("window,stride", [(2, 2)])
 def test_maxpool_negative_zero_gradient_lands_as_positive_zero(window, stride):
     # bincount adds into +0.0, so -0.0 arrives as +0.0; assigning the hit
     # gradient keeps -0.0, and assigning g * mask leaves -0.0 wherever g < 0

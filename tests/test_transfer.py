@@ -89,6 +89,20 @@ def test_replace_head_preserves_last_hidden_activation():
     assert np.array_equal(feature_activations(src, x), feature_activations(tgt, x))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_replace_head_graph_matches_a_freshly_built_one(dtype):
+    """The empty-batch pass of the new graph, logits included, and its class
+    count are those of a ModelGraph built from its layers."""
+    src = nn.build_small_convnet((3, 16, 16), 8, seed=1, dtype=dtype)
+    tgt = transfer.replace_head(src, 2, seed=9)
+    fresh = nn.ModelGraph(tgt.layers, tgt.input_shape, 2)
+    assert tgt.num_classes == fresh.num_classes == 2
+    empties = [[(e.shape, e.dtype) for e in m._empty] for m in (tgt, fresh, src)]
+    assert empties[0] == empties[1]
+    assert empties[0][:-1] == empties[2][:-1]
+    assert empties[0][-1] == ((0, 2), np.dtype(dtype))
+
+
 def test_replace_head_requires_dense_tail():
     m = small_source()
     m.layers = m.layers[:-1]  # strip the head
@@ -583,9 +597,39 @@ def test_prefix_features_bytes_independent_of_the_helper_count(monkeypatch, cpus
                 assert got.tobytes() == want.tobytes()
 
 
+def serial_anomaly_scores(model, samples):
+    """anomaly_scores as one loop over its chunks, a 1-row last chunk
+    joined to the one before it, each chunk's softmax taken on its own."""
+    n = len(samples)
+    starts = list(range(0, n, evaluate.INFER_BATCH))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    out = np.empty(n, dtype=np.float64)
+    for start, stop in zip(starts, starts[1:] + [n]):
+        logits = model.forward(T.Tensor(samples[start:stop])).data
+        out[start:stop] = T.softmax(logits)[:, evaluate.LABEL_ANOMALOUS]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_anomaly_scores_bytes_independent_of_the_helper_count(monkeypatch, cpus, dtype):
+    """Scoring shares its chunks with the helper threads, yet every score
+    has the serial loop's bytes."""
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+    model = nn.build_small_convnet((3, 16, 16), 2, seed=30, dtype=dtype)
+    x = np.random.default_rng(31).random((70, 3, 16, 16)).astype(dtype)
+    for n in (0, 1, 2, 17, 70):
+        got = anomaly_scores(model, x[:n])
+        want = serial_anomaly_scores(model, x[:n])
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_prefix_features_under_fast_thread_switches(monkeypatch):
     """More threads than cores, switching every microsecond, over 1-sample
-    chunks: each chunk runs once and every row gets its own bytes."""
+    chunks (the last one joined to the one before it): each chunk runs
+    once and every row gets its own bytes."""
     monkeypatch.setattr(T, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(evaluate, "INFER_BATCH", 1)
     model = small_source(seed=28)
@@ -601,7 +645,7 @@ def test_prefix_features_under_fast_thread_switches(monkeypatch):
         got = transfer.prefix_features(model, 6, x, np.arange(len(x)))
     finally:
         sys.setswitchinterval(interval)
-    assert sizes == [1] * len(x)
+    assert sorted(sizes) == [1] * (len(x) - 2) + [2]  # the 1-row last chunk joins the one before
     assert got.tobytes() == want.tobytes()
 
 
@@ -684,15 +728,15 @@ print(len([t for t in threading.enumerate() if t.name.startswith("xferad-helper"
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scores_and_head_inputs_independent_of_the_inference_batch(monkeypatch, dtype):
-    """evaluate.INFER_BATCH is the one chunk size of anomaly_scores and
-    prefix_features (transfer reads it through the evaluate module).
+    """evaluate.INFER_BATCH is the one chunk size of evaluate.infer, which
+    both anomaly_scores and prefix_features run on.
 
     No activation entering the head depends on it. The dense head's rows
     agree between chunks of 16 and 64, also at 17, 33 and 113 samples,
     where one of them would leave a last chunk of one row: numpy runs a
-    1-row product as a matrix-vector call whose last bits differ, so
-    anomaly_scores folds that row into the chunk before it, and at 1 only
-    the activations are compared."""
+    1-row product as a matrix-vector call whose last bits differ, so infer
+    folds that row into the chunk before it, and at 1 only the
+    activations are compared."""
     model = nn.build_small_convnet((3, 16, 16), 2, seed=23, dtype=dtype)
     head = len(model.layers) - 1
     sizes = []
@@ -700,9 +744,9 @@ def test_scores_and_head_inputs_independent_of_the_inference_batch(monkeypatch, 
     monkeypatch.setattr(model, "forward",
                         lambda batch, **kw: sizes.append(len(batch.data)) or forward(batch, **kw))
 
-    def chunks(n, batch, fold=False):
+    def chunks(n, batch):
         c = [min(batch, n - s) for s in range(0, n, batch)]
-        return c[:-2] + [c[-2] + 1] if fold and len(c) > 1 and c[-1] == 1 else c
+        return c[:-2] + [c[-2] + 1] if len(c) > 1 and c[-1] == 1 else c
 
     for n in (17, 33, 70, 113):
         x = np.random.default_rng([24, n]).random((n, 3, 16, 16)).astype(dtype)
@@ -711,12 +755,12 @@ def test_scores_and_head_inputs_independent_of_the_inference_batch(monkeypatch, 
             monkeypatch.setattr(evaluate, "INFER_BATCH", batch)
             sizes.clear()
             features[batch] = transfer.prefix_features(model, head, x, np.arange(n))
-            # helper threads take prefix_features' chunks in no fixed order
+            # helper threads take infer's chunks in no fixed order
             assert sorted(sizes) == sorted(chunks(n, batch))
             if batch > 1:
                 sizes.clear()
                 scores[batch] = anomaly_scores(model, x)
-                assert sizes == chunks(n, batch, fold=True)
+                assert sorted(sizes) == sorted(chunks(n, batch))
                 head_scores[batch] = anomaly_scores(model.suffix(head), features[batch])
         assert features[1].dtype == dtype
         assert features[1].tobytes() == features[16].tobytes() == features[64].tobytes()
